@@ -44,7 +44,8 @@ def l2_tail_sq(series: CosineSeries, start: int) -> float:
     """sum_{nu >= start} a_nu^2, stored part plus closed-form power-law tail."""
     if start < 1:
         raise DomainError("tail start must be >= 1")
-    stored = float(np.sum(series.coeffs[start - 1:] ** 2)) if start <= series.n_stored else 0.0
+    freqs, amps = series.support()
+    stored = float(np.sum(amps[freqs >= start] ** 2))
     if series.tail is None:
         return stored
     t = series.tail
@@ -90,8 +91,7 @@ class ModulusBracket:
     + (sum_{nu>n} a_nu^p nu^{p-2})^{1/p} that brackets the modulus at t = 1/n
     for monotone series, up to existential constants.
 
-    ``lower`` and ``upper`` both return the common bracket value; the constants
-    multiplying it on either side are never asserted numerically.
+    The constants multiplying ``value`` on either side are never asserted numerically.
     """
 
     head_term: float
@@ -100,14 +100,6 @@ class ModulusBracket:
     @property
     def value(self) -> float:
         return self.head_term + self.tail_term
-
-    @property
-    def lower(self) -> float:
-        return self.value
-
-    @property
-    def upper(self) -> float:
-        return self.value
 
 
 def modulus_bounds_monotone(series: CosineSeries, n: int, k: int, p: float) -> ModulusBracket:
@@ -126,15 +118,13 @@ def modulus_bounds_monotone(series: CosineSeries, n: int, k: int, p: float) -> M
     head_sum = float(np.sum(head_coeffs ** p * nus ** ((k + 1) * p - 2)))
     head = n ** (-float(k)) * head_sum ** (1.0 / p)
 
-    stored_hi = series.n_stored
-    tail_sum = 0.0
-    if n + 1 <= stored_hi:
-        nus_t = np.arange(n + 1, stored_hi + 1, dtype=float)
-        tail_sum += float(np.sum(series.coeffs[n:] ** p * nus_t ** (p - 2)))
+    freqs, amps = series.support()
+    beyond = freqs > n
+    tail_sum = float(np.sum(amps[beyond] ** p * freqs[beyond] ** (p - 2)))
     if series.tail is not None:
         t = series.tail
         q = t.s * p - (p - 2)
-        tail_sum += power_sum_tail(t.c ** p, q, max(n + 1, stored_hi + 1))
+        tail_sum += power_sum_tail(t.c ** p, q, max(n + 1, series.n_stored + 1))
     tail = tail_sum ** (1.0 / p)
     return ModulusBracket(head_term=head, tail_term=tail)
 
@@ -155,7 +145,7 @@ def zygmund_norm_bounds(series: CosineSeries, p: float,
     """
     if series.tag != "lacunary":
         raise TagError(f"norm equivalence requires tag 'lacunary', got {series.tag!r}")
-    l2 = math.sqrt(float(np.sum(series.coeffs ** 2)))
+    l2 = math.sqrt(float(np.sum(series.support()[1] ** 2)))
     if l2 == 0.0:
         raise DivideByZeroError("zero lacunary series has no norm ratio")
     if p == 2.0:

@@ -30,8 +30,7 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -535,10 +534,8 @@ def _eval_ineq_case(spec: dict) -> list:
         elif spec["lemma"] == "reverse_copson":
             v = inequalities.check_reverse_copson(case, spec["variant"])
         elif spec["lemma"] == "two_sided":
-            v = inequalities.check_two_sided_asymp(case, spec["variant"])[0]
-            v = inequalities.IneqVerdict(lemma_id=v.lemma_id, variant=v.variant, lhs=v.lhs,
-                                         rhs=v.rhs, ratio=v.ratio, holds_with=v.holds_with,
-                                         direction="two-sided", clause=v.clause)
+            v = replace(inequalities.check_two_sided_asymp(case, spec["variant"])[0],
+                        direction="two-sided")
         else:
             raise ConfigError(f"unknown lemma {spec['lemma']!r}")
         return base + [v.lhs, v.rhs, v.ratio] + tail + ["ok", v.direction, v.clause]
@@ -548,13 +545,7 @@ def _eval_ineq_case(spec: dict) -> list:
 
 def cmd_ineq_sweep(cfg: dict, args) -> Report:
     specs = _ineq_case_specs(cfg, args.seed)
-    threads = args.threads
-    if threads == 1 or len(specs) <= 1:
-        rows = [_eval_ineq_case(s) for s in specs]
-    else:
-        workers = threads if threads and threads > 0 else None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_ineq_case, specs))
+    rows = [_eval_ineq_case(s) for s in specs]
     return Report(columns=INEQ_COLUMNS, rows=rows,
                   comments=[f"seed={args.seed} cases={len(specs)}"])
 
@@ -587,10 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--out", default=None, help="output path (default: stdout)")
         cp.add_argument("--format", default="csv", choices=("csv", "json"))
         cp.add_argument("--seed", type=int, default=0)
-        cp.add_argument("--threads", type=int, default=1, help="0 means auto")
-        cp.add_argument("--max-nu", dest="max_nu", type=int, default=0,
-                        help="truncation range for the omega-based sums")
         cp.add_argument("--quiet", action="store_true")
+        if name == "ineq-sweep":
+            cp.add_argument("--threads", type=int, default=1,
+                            help="accepted for compatibility; has no effect")
+        if name == "equivalence":
+            cp.add_argument("--max-nu", dest="max_nu", type=int, default=0,
+                            help="truncation range for the omega-based sums")
         if name == "example":
             cp.add_argument("--r", type=float, default=1.0)
             cp.add_argument("--alpha", type=float, default=0.5)

@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,11 +58,14 @@ class CosineSeries:
     ``coeffs[i]`` is the coefficient of cos((i+1) x).  The tail model, when present,
     describes coefficients beyond the stored range; it participates in coefficient-side
     computations (Parseval tails, coefficient functionals) but is never synthesised.
+    The nonzero support is computed once at construction; code outside this module
+    reads the stored coefficients through ``support()``.
     """
 
     coeffs: np.ndarray
     tag: str = "general"
     tail: PowerLawTail | None = None
+    _support: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=float, copy=True)
@@ -85,6 +88,11 @@ class CosineSeries:
                 raise ConstraintViolation("a dense power-law tail is incompatible with lacunarity")
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
+        nz = np.flatnonzero(coeffs)
+        freqs, amps = nz + 1, coeffs[nz]
+        freqs.setflags(write=False)
+        amps.setflags(write=False)
+        object.__setattr__(self, "_support", (freqs, amps))
 
     @property
     def n_stored(self) -> int:
@@ -93,13 +101,12 @@ class CosineSeries:
     @property
     def max_freq(self) -> int:
         """Largest stored frequency with a nonzero coefficient (0 for the zero series)."""
-        nz = np.flatnonzero(self.coeffs)
-        return int(nz[-1] + 1) if nz.size else 0
+        freqs = self._support[0]
+        return int(freqs[-1]) if freqs.size else 0
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(frequencies, coefficients) of the nonzero stored part."""
-        nz = np.flatnonzero(self.coeffs)
-        return nz + 1, self.coeffs[nz]
+        """(frequencies, coefficients) of the nonzero stored part, ascending and read-only."""
+        return self._support
 
     def coeff(self, nu: int) -> float:
         """a_nu, consulting the tail model beyond the stored range."""

@@ -132,6 +132,36 @@ def _segment_weights(nus: np.ndarray, a: float) -> np.ndarray:
     return ((nus + 1.0) ** a - nus ** a) / a
 
 
+def _point_weights(nus: np.ndarray, a: float) -> np.ndarray:
+    """nu^(a-1), the series-form counterpart of _segment_weights."""
+    return nus ** (a - 1.0)
+
+
+def _omega_form(series: CosineSeries, params: ClassParams, n: int, nu_max: int,
+                table: ModulusTable | None, weights, head_scale: float) -> float:
+    """(sum_{nu>n} w(1/nu)^th weights(nu, r*th) + remainder
+    + head_scale * sum_{nu<=n} w(1/nu)^th weights(nu, (r+l)*th))^{1/th}.
+
+    The tail is truncated at nu_max with a power-law extrapolation of the remainder.
+    """
+    th, r, lam = params.theta, params.r, params.lam
+    if table is None:
+        table = ModulusTable(series, params.k, params.p)
+    omega = table.omega_upto(nu_max)
+
+    nus_tail = np.arange(n + 1, nu_max + 1, dtype=float)
+    tail_terms = omega[n:] ** th * weights(nus_tail, r * th)
+    partial = float(np.sum(tail_terms))
+    remainder, _ = _power_law_remainder(nus_tail, tail_terms)
+    _warn_truncation(remainder, partial, nu_max)
+
+    nus_head = np.arange(1, n + 1, dtype=float)
+    head = float(np.sum(omega[:n] ** th * weights(nus_head, (r + lam) * th)))
+
+    total = partial + remainder + head_scale * head
+    return float(total ** (1.0 / th))
+
+
 def integral_form(series: CosineSeries, params: ClassParams, delta: float,
                   quad_points: int | None = None, table: ModulusTable | None = None) -> float:
     """Integral form of the class functional at delta = 1/(n+1).
@@ -141,25 +171,11 @@ def integral_form(series: CosineSeries, params: ClassParams, delta: float,
     with a power-law extrapolation of the remainder.
     """
     n = _delta_to_n(delta)
-    th, r, lam = params.theta, params.r, params.lam
     nu_max = quad_points if quad_points is not None else max(4 * n, MIN_NU_MAX)
     if nu_max < 4 * n:
         raise DomainError(f"quad_points must be at least 4n = {4 * n}")
-    if table is None:
-        table = ModulusTable(series, params.k, params.p)
-    omega = table.omega_upto(nu_max)
-
-    nus_tail = np.arange(n + 1, nu_max + 1, dtype=float)
-    tail_terms = omega[n:] ** th * _segment_weights(nus_tail, r * th)
-    partial = float(np.sum(tail_terms))
-    remainder, _ = _power_law_remainder(nus_tail, tail_terms)
-    _warn_truncation(remainder, partial, nu_max)
-
-    nus_head = np.arange(1, n + 1, dtype=float)
-    head = float(np.sum(omega[:n] ** th * _segment_weights(nus_head, (r + lam) * th)))
-
-    total = partial + remainder + delta ** (lam * th) * head
-    return float(total ** (1.0 / th))
+    return _omega_form(series, params, n, nu_max, table, _segment_weights,
+                       delta ** (params.lam * params.theta))
 
 
 def series_form(series: CosineSeries, params: ClassParams, n: int,
@@ -167,25 +183,11 @@ def series_form(series: CosineSeries, params: ClassParams, n: int,
     """Series form over moduli of the class functional at scale 1/n."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    th, r, lam = params.theta, params.r, params.lam
     nu_max = nu_max if nu_max is not None else max(4 * n, MIN_NU_MAX)
     if nu_max < 4 * n:
         raise DomainError(f"nu_max must be at least 4n = {4 * n}")
-    if table is None:
-        table = ModulusTable(series, params.k, params.p)
-    omega = table.omega_upto(nu_max)
-
-    nus_tail = np.arange(n + 1, nu_max + 1, dtype=float)
-    tail_terms = omega[n:] ** th * nus_tail ** (r * th - 1.0)
-    partial = float(np.sum(tail_terms))
-    remainder, _ = _power_law_remainder(nus_tail, tail_terms)
-    _warn_truncation(remainder, partial, nu_max)
-
-    nus_head = np.arange(1, n + 1, dtype=float)
-    head = float(np.sum(omega[:n] ** th * nus_head ** ((r + lam) * th - 1.0)))
-
-    total = partial + remainder + float(n) ** (-lam * th) * head
-    return float(total ** (1.0 / th))
+    return _omega_form(series, params, n, nu_max, table, _point_weights,
+                       float(n) ** (-params.lam * params.theta))
 
 
 def monotone_coefficient_form(series: CosineSeries, params: ClassParams, n: int) -> float:
@@ -207,10 +209,9 @@ def monotone_coefficient_form(series: CosineSeries, params: ClassParams, n: int)
     nus_head = np.arange(1, n + 1, dtype=float)
     head = float(np.sum(head_coeffs ** th * nus_head ** e_head))
 
-    tail = 0.0
-    if n + 1 <= series.n_stored:
-        nus_tail = np.arange(n + 1, series.n_stored + 1, dtype=float)
-        tail += float(np.sum(series.coeffs[n:] ** th * nus_tail ** e_tail))
+    freqs, amps = series.support()
+    beyond = freqs > n
+    tail = float(np.sum(amps[beyond] ** th * freqs[beyond] ** e_tail))
     if series.tail is not None:
         t = series.tail
         q = t.s * th - e_tail

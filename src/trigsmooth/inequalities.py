@@ -59,7 +59,6 @@ class IneqVerdict:
     lhs: float
     rhs: float
     ratio: float
-    holds_with: float
     direction: str
     clause: str = ""
 
@@ -71,9 +70,8 @@ def _ratio(lhs: float, rhs: float) -> float:
 
 
 def _verdict(lemma_id, variant, lhs, rhs, direction, clause=""):
-    ratio = _ratio(lhs, rhs)
     return IneqVerdict(lemma_id=lemma_id, variant=variant, lhs=lhs, rhs=rhs,
-                       ratio=ratio, holds_with=ratio, direction=direction, clause=clause)
+                       ratio=_ratio(lhs, rhs), direction=direction, clause=clause)
 
 
 def _weighted(seq: np.ndarray, lam_exp: float, lo: int, n: int) -> np.ndarray:
@@ -121,46 +119,44 @@ def _require_variant(variant: str) -> None:
         raise DomainError(f"variant must be 'tail' or 'head', got {variant!r}")
 
 
+def _inner_and_weight(case: IneqCase, variant: str, lo: int) -> tuple[np.ndarray, float]:
+    """Inner sums over [lo, n] and the outer weight exponent of a variant.
+
+    tail: suffix sums with weight mu^{a-1}; head: prefix sums with weight mu^{-a-1}.
+    """
+    if variant == "tail":
+        return _suffix_sums(case.seq, case.lam_exp, lo, case.n), case.alpha - 1.0
+    return _prefix_sums(case.seq, case.lam_exp, lo, case.n), -case.alpha - 1.0
+
+
+def _check_hardy(case: IneqCase, variant: str, lemma_id: str, direction: str,
+                 clause: str) -> IneqVerdict:
+    _require_variant(variant)
+    if not case.m < case.n:
+        raise DomainError("need m < n")
+    mus = np.arange(case.m, case.n + 1, dtype=float)
+    inner, w = _inner_and_weight(case, variant, case.m)
+    lhs = _outer(mus, w, inner, case.p)
+    rhs = _reference(case, mus, w)
+    return _verdict(lemma_id, variant, lhs, rhs, direction, clause=clause)
+
+
 def check_hardy_upper(case: IneqCase, variant: str = "tail") -> IneqVerdict:
     """Hardy-type upper bound, p >= 1.
 
     tail: sum_{mu=m}^{n} mu^{a-1} (sum_{nu=mu}^{n} a_nu nu^l)^p <= C * same with a_mu mu^{l+1};
     head: the mu^{-a-1} variant with inner sums from m up to mu.
     """
-    _require_variant(variant)
     if case.p < 1.0:
         raise DomainError(f"upper Hardy bound needs p >= 1, got {case.p}")
-    if not case.m < case.n:
-        raise DomainError("need m < n")
-    mus = np.arange(case.m, case.n + 1, dtype=float)
-    if variant == "tail":
-        inner = _suffix_sums(case.seq, case.lam_exp, case.m, case.n)
-        w = case.alpha - 1.0
-    else:
-        inner = _prefix_sums(case.seq, case.lam_exp, case.m, case.n)
-        w = -case.alpha - 1.0
-    lhs = _outer(mus, w, inner, case.p)
-    rhs = _reference(case, mus, w)
-    return _verdict("hardy_upper", variant, lhs, rhs, DIRECTION_UPPER, clause="p>=1")
+    return _check_hardy(case, variant, "hardy_upper", DIRECTION_UPPER, "p>=1")
 
 
 def check_hardy_lower(case: IneqCase, variant: str = "tail") -> IneqVerdict:
     """Hardy-type lower bound, 0 < p <= 1: the same sums with the inequality reversed."""
-    _require_variant(variant)
     if not (0.0 < case.p <= 1.0):
         raise DomainError(f"lower Hardy bound needs 0 < p <= 1, got {case.p}")
-    if not case.m < case.n:
-        raise DomainError("need m < n")
-    mus = np.arange(case.m, case.n + 1, dtype=float)
-    if variant == "tail":
-        inner = _suffix_sums(case.seq, case.lam_exp, case.m, case.n)
-        w = case.alpha - 1.0
-    else:
-        inner = _prefix_sums(case.seq, case.lam_exp, case.m, case.n)
-        w = -case.alpha - 1.0
-    lhs = _outer(mus, w, inner, case.p)
-    rhs = _reference(case, mus, w)
-    return _verdict("hardy_lower", variant, lhs, rhs, DIRECTION_LOWER, clause="0<p<=1")
+    return _check_hardy(case, variant, "hardy_lower", DIRECTION_LOWER, "0<p<=1")
 
 
 def _require_monotone(seq: np.ndarray) -> None:
@@ -181,37 +177,25 @@ def check_reverse_copson(case: IneqCase, variant: str = "tail",
     _require_variant(variant)
     if require_monotone:
         _require_monotone(case.seq)
+    is_tail = variant == "tail"
     mus_full = np.arange(case.m, case.n + 1, dtype=float)
     if case.p >= 1.0:
         if case.n < 16 * case.m:
             raise PreconditionError(f"p >= 1 clause needs n >= 16m, got n={case.n}, m={case.m}")
-        if variant == "tail":
-            inner = _suffix_sums(case.seq, case.lam_exp, case.m, case.n)
-            lhs = _outer(mus_full, case.alpha - 1.0, inner, case.p)
-            mus_ref = np.arange(8 * case.m, case.n + 1, dtype=float)
-            rhs = _reference(case, mus_ref, case.alpha - 1.0)
-            clause = "p>=1 n>=16m ref-from-8m"
-        else:
-            inner = _prefix_sums(case.seq, case.lam_exp, case.m, case.n)
-            lhs = _outer(mus_full, -case.alpha - 1.0, inner, case.p)
-            mus_ref = np.arange(4 * case.m, case.n + 1, dtype=float)
-            rhs = _reference(case, mus_ref, -case.alpha - 1.0)
-            clause = "p>=1 n>=16m ref-from-4m"
+        inner, w = _inner_and_weight(case, variant, case.m)
+        lhs = _outer(mus_full, w, inner, case.p)
+        mus_ref = np.arange((8 if is_tail else 4) * case.m, case.n + 1, dtype=float)
+        rhs = _reference(case, mus_ref, w)
+        clause = "p>=1 n>=16m ref-from-8m" if is_tail else "p>=1 n>=16m ref-from-4m"
         return _verdict("reverse_copson", variant, lhs, rhs, DIRECTION_LOWER, clause=clause)
 
     if case.n < 4 * case.m:
         raise PreconditionError(f"0 < p <= 1 clause needs n >= 4m, got n={case.n}, m={case.m}")
     mus_shift = np.arange(4 * case.m, case.n + 1, dtype=float)
-    if variant == "tail":
-        inner = _suffix_sums(case.seq, case.lam_exp, 4 * case.m, case.n)
-        lhs = _outer(mus_shift, case.alpha - 1.0, inner, case.p)
-        rhs = _reference(case, mus_full, case.alpha - 1.0)
-        clause = "0<p<=1 n>=4m lhs-from-4m"
-    else:
-        inner = _prefix_sums(case.seq, case.lam_exp, 4 * case.m, case.n)
-        lhs = _outer(mus_shift, -case.alpha - 1.0, inner, case.p)
-        rhs = _reference(case, mus_full, -case.alpha - 1.0)
-        clause = "0<p<=1 n>=4m sums-from-4m"
+    inner, w = _inner_and_weight(case, variant, 4 * case.m)
+    lhs = _outer(mus_shift, w, inner, case.p)
+    rhs = _reference(case, mus_full, w)
+    clause = "0<p<=1 n>=4m lhs-from-4m" if is_tail else "0<p<=1 n>=4m sums-from-4m"
     return _verdict("reverse_copson", variant, lhs, rhs, DIRECTION_UPPER, clause=clause)
 
 
@@ -224,12 +208,7 @@ def check_two_sided_asymp(case: IneqCase, variant: str = "tail") -> tuple[IneqVe
     _require_variant(variant)
     _require_monotone(case.seq)
     mus = np.arange(1, case.n + 1, dtype=float)
-    if variant == "tail":
-        inner = _suffix_sums(case.seq, case.lam_exp, 1, case.n)
-        w = case.alpha - 1.0
-    else:
-        inner = _prefix_sums(case.seq, case.lam_exp, 1, case.n)
-        w = -case.alpha - 1.0
+    inner, w = _inner_and_weight(case, variant, 1)
     middle = _outer(mus, w, inner, case.p)
     ref = _reference(replace(case, m=1), mus, w)
     lower = _verdict("two_sided_asymp", variant, middle, ref, DIRECTION_LOWER)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigsmooth import (
     CosineSeries,
     DivideByZeroError,
+    PowerLawTail,
     TagError,
     best_approx,
     dyadic_best_approx_curve,
@@ -15,10 +18,13 @@ from trigsmooth import (
     lp_norm,
     modulus_bounds_monotone,
     modulus_p2_exact,
+    monotone_coefficient_form,
     power_law_series,
     synthesize,
+    validate_params,
     zygmund_norm_bounds,
 )
+from trigsmooth.approximation import l2_tail_sq, power_sum_tail
 
 import oracles
 
@@ -104,7 +110,6 @@ class TestModulusBracket:
             nu ** (-2.0 * 2) * nu ** ((k + 1) * p - 2) for nu in range(1, n + 1)))
         tail = math.sqrt(oracles.brute_power_tail(2.0 * p - (p - 2), n + 1))
         assert br.value == pytest.approx(head + tail, rel=1e-8)
-        assert br.lower == br.upper == br.value
 
     def test_zero_series(self):
         ser = CosineSeries(np.zeros(16), tag="monotone")
@@ -179,3 +184,71 @@ class TestLacunaryEBounds:
         rep = lacunary_E_bounds(ser, 3, 2.0)
         want = math.sqrt(math.pi * 4.0 ** (-3) * 4.0 / 3.0)
         assert rep.e_value == pytest.approx(want, rel=1e-9)
+
+
+def _coeff(coeffs, tail, nu):
+    if nu <= len(coeffs):
+        return coeffs[nu - 1]
+    return tail.c * nu ** (-tail.s) if tail is not None else 0.0
+
+
+def _tail_sum(tail, power, weight_exp, start):
+    """sum_{nu >= start} (c nu^-s)^power nu^weight_exp, the closed-form part beyond storage."""
+    if tail is None:
+        return 0.0
+    return power_sum_tail(tail.c ** power, tail.s * power - weight_exp, start)
+
+
+@st.composite
+def _monotone_with_trailing_zeros(draw):
+    head = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), max_size=32))
+    return sorted(head, reverse=True) + [0.0] * draw(st.integers(0, 16))
+
+
+class TestStoredSumsAgainstBruteForce:
+    """The sums over stored coefficients against term-by-term math.fsum over nu; the
+    closed-form tail beyond storage is shared with the code under test."""
+
+    @given(coeffs=st.lists(st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_subnormal=False)),
+                           max_size=48),
+           start=st.integers(1, 60))
+    @settings(deadline=None)
+    def test_l2_tail_with_interior_zeros(self, coeffs, start):
+        want = math.fsum(a * a for nu, a in enumerate(coeffs, start=1) if nu >= start)
+        got = l2_tail_sq(CosineSeries(np.asarray(coeffs, dtype=float)), start)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @given(coeffs=_monotone_with_trailing_zeros(),
+           tail=st.one_of(st.none(), st.builds(PowerLawTail, c=st.floats(0.0, 2.0),
+                                               s=st.floats(2.0, 4.0))),
+           n=st.integers(1, 60), p=st.floats(1.1, 4.0), theta=st.floats(0.5, 3.0),
+           r=st.floats(0.1, 0.6), lam=st.floats(0.1, 0.3))
+    @settings(deadline=None)
+    def test_monotone_sums_with_trailing_zeros(self, coeffs, tail, n, p, theta, r, lam):
+        ser = CosineSeries(np.asarray(coeffs, dtype=float), tag="monotone", tail=tail)
+        n_stored, k = len(coeffs), 1
+        beyond = max(n + 1, n_stored + 1)
+
+        want_l2 = (math.fsum(a * a for a in coeffs[n - 1:])
+                   + _tail_sum(tail, 2.0, 0.0, max(n, n_stored + 1)))
+        assert l2_tail_sq(ser, n) == pytest.approx(want_l2, rel=1e-12, abs=0.0)
+
+        head = math.fsum(_coeff(coeffs, tail, nu) ** p * nu ** ((k + 1) * p - 2)
+                         for nu in range(1, n + 1))
+        tail_p = (math.fsum(coeffs[nu - 1] ** p * nu ** (p - 2) for nu in range(n + 1, n_stored + 1))
+                  + _tail_sum(tail, p, p - 2, beyond))
+        want_br = n ** (-float(k)) * head ** (1.0 / p) + tail_p ** (1.0 / p)
+        assert modulus_bounds_monotone(ser, n, k, p).value == pytest.approx(want_br, rel=1e-12,
+                                                                             abs=0.0)
+
+        th = theta
+        e_tail = r * th + th - th / p - 1.0
+        e_head = (r + lam) * th + th - th / p - 1.0
+        head = math.fsum(_coeff(coeffs, tail, nu) ** th * nu ** e_head for nu in range(1, n + 1))
+        tail_th = (math.fsum(coeffs[nu - 1] ** th * nu ** e_tail
+                             for nu in range(n + 1, n_stored + 1))
+                   + _tail_sum(tail, th, e_tail, beyond))
+        want_cf = (tail_th + n ** (-lam * th) * head) ** (1.0 / th)
+        params = validate_params(p=p, theta=theta, r=r, lam=lam, k=k)
+        assert monotone_coefficient_form(ser, params, n) == pytest.approx(want_cf, rel=1e-12,
+                                                                           abs=0.0)

@@ -95,6 +95,13 @@ class TestModulusCommand:
         cfg = write_cfg(tmp_path, BASE_CFG + "sweep.grid_n = 64\n")
         assert main(["modulus", "--config", cfg]) == 3
 
+    @pytest.mark.parametrize("flag,value", [("--threads", "2"), ("--max-nu", "2048")])
+    def test_flags_of_other_commands_are_rejected(self, tmp_path, flag, value):
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["modulus", flag, value, "--config", cfg])
+        assert exc.value.code == 2
+
 
 class TestEquivalenceCommand:
     def test_tag_mismatch_exits_3(self, tmp_path, capsys):

@@ -177,6 +177,15 @@ class TestCosineSeries:
         with pytest.raises(ValueError):
             ser.coeffs[0] = 5.0
 
+    def test_support_arrays_are_read_only(self):
+        freqs, amps = CosineSeries(np.array([0.0, 2.0, 0.0, -1.0])).support()
+        np.testing.assert_array_equal(freqs, [2, 4])
+        np.testing.assert_array_equal(amps, [2.0, -1.0])
+        with pytest.raises(ValueError):
+            freqs[0] = 1
+        with pytest.raises(ValueError):
+            amps[0] = 5.0
+
 
 class TestGridAndCurve:
     def test_grid_requires_power_of_two(self):
