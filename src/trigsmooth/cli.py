@@ -144,6 +144,19 @@ def _as_list(value) -> list:
     return [value]
 
 
+def _number(convert, value, what: str):
+    """convert(value) for convert in (int, float), a bad value becoming a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be {'an integer' if convert is int else 'a number'}, "
+                          f"got {value!r}") from None
+
+
+def _cfg_number(cfg: dict, dotted: str, convert, default):
+    return _number(convert, cfg_get(cfg, dotted, default), dotted)
+
+
 def _as_int_list(value, what: str) -> list[int]:
     out = []
     for v in _as_list(value):
@@ -164,25 +177,26 @@ def build_series(cfg: dict, seed: int) -> CosineSeries:
     tag = scfg.get("tag", "general")
     tail = _build_tail(scfg.get("tail"))
     if "coeffs" in scfg:
-        coeffs = [float(c) for c in _as_list(scfg["coeffs"])]
+        coeffs = [_number(float, c, "series.coeffs") for c in _as_list(scfg["coeffs"])]
         return CosineSeries(np.asarray(coeffs, dtype=float), tag=tag, tail=tail)
     gen = scfg.get("generator")
     if gen is None:
         raise ConfigError("series section needs either 'coeffs' or 'generator'")
     parts = str(gen).split(":")
     kind, args = parts[0], parts[1:]
+    what = f"series.generator {gen!r}"
     if kind == "power":
-        s = float(args[0]) if args else 2.0
-        n_terms = int(args[1]) if len(args) > 1 else 4096
+        s = _number(float, args[0], what) if args else 2.0
+        n_terms = _number(int, args[1], what) if len(args) > 1 else 4096
         base = power_law_series(s, n_terms, with_tail=tail is None)
         return CosineSeries(base.coeffs, tag=tag if tag != "general" else "monotone",
                             tail=tail if tail is not None else base.tail)
     if kind == "lacunary_geometric":
-        ratio = float(args[0]) if args else 0.5
-        levels = int(args[1]) if len(args) > 1 else 16
+        ratio = _number(float, args[0], what) if args else 0.5
+        levels = _number(int, args[1], what) if len(args) > 1 else 16
         return lacunary_geometric_series(ratio, levels)
     if kind == "random_bandlimited":
-        max_freq = int(args[0]) if args else 64
+        max_freq = _number(int, args[0], what) if args else 64
         rng = np.random.default_rng(seed)
         base = random_bandlimited_series(rng, max_freq)
         return CosineSeries(base.coeffs, tag=tag, tail=tail)
@@ -195,7 +209,8 @@ def _build_tail(spec) -> PowerLawTail | None:
     parts = str(spec).split(":")
     if parts[0] != "power" or len(parts) != 3:
         raise ConfigError(f"tail must be 'none' or 'power:c:s', got {spec!r}")
-    return PowerLawTail(c=float(parts[1]), s=float(parts[2]))
+    return PowerLawTail(c=_number(float, parts[1], "series.tail"),
+                        s=_number(float, parts[2], "series.tail"))
 
 
 def build_params(cfg: dict) -> ClassParams:
@@ -204,8 +219,11 @@ def build_params(cfg: dict) -> ClassParams:
         raise ConfigError("config needs a [params] section with p, theta, r, lambda, k")
     try:
         return validate_params(
-            p=float(pcfg["p"]), theta=float(pcfg["theta"]), r=float(pcfg["r"]),
-            lam=float(pcfg["lambda"]), k=int(pcfg["k"]),
+            p=_number(float, pcfg["p"], "params.p"),
+            theta=_number(float, pcfg["theta"], "params.theta"),
+            r=_number(float, pcfg["r"], "params.r"),
+            lam=_number(float, pcfg["lambda"], "params.lambda"),
+            k=_number(int, pcfg["k"], "params.k"),
         )
     except KeyError as exc:
         raise ConfigError(f"params section missing {exc}") from exc
@@ -220,9 +238,9 @@ def build_phi(cfg: dict) -> MajorantPhi:
     kind = pcfg["kind"]
     try:
         if kind == "power":
-            return MajorantPhi.power(float(pcfg["alpha"]))
+            return MajorantPhi.power(_number(float, pcfg["alpha"], "phi.alpha"))
         if kind == "inv_log":
-            return MajorantPhi.inv_log(float(pcfg["alpha"]))
+            return MajorantPhi.inv_log(_number(float, pcfg["alpha"], "phi.alpha"))
         if kind == "constant":
             return MajorantPhi.constant()
         if kind == "tabulated":
@@ -317,20 +335,24 @@ def _membership_comment(name: str, rep: functionals.MembershipReport) -> str:
 def cmd_modulus(cfg: dict, args) -> Report:
     series = build_series(cfg, args.seed)
     params = build_params(cfg)
-    t_values = [float(t) for t in _as_list(cfg_get(cfg, "sweep.t_values"))]
+    t_values = [_number(float, t, "sweep.t_values")
+                for t in _as_list(cfg_get(cfg, "sweep.t_values"))]
     if not t_values:
         t_values = [math.pi * (i + 1) / 8.0 for i in range(8)]
-    h_samples = int(cfg_get(cfg, "sweep.h_samples", DEFAULT_H_SAMPLES))
+    h_samples = _cfg_number(cfg, "sweep.h_samples", int, DEFAULT_H_SAMPLES)
     grid_n = cfg_get(cfg, "sweep.grid_n")
-    n = int(grid_n) if grid_n is not None else auto_grid_size(series)
+    n = _number(int, grid_n, "sweep.grid_n") if grid_n is not None else auto_grid_size(series)
+    try:
+        reqs = [ModulusRequest(k=params.k, t=t, p=params.p, h_samples=h_samples) for t in t_values]
+    except ConstraintViolation as exc:
+        raise ConfigError(f"invalid sweep: {exc}") from exc
     include_exact = params.p == 2.0
     columns = ["t", "omega"] + (["omega_p2_exact"] if include_exact else [])
     rows = []
-    for t in t_values:
-        req = ModulusRequest(k=params.k, t=t, p=params.p, h_samples=h_samples)
-        row = [t, modulus(series, req, n)]
+    for req in reqs:
+        row = [req.t, modulus(series, req, n)]
         if include_exact:
-            row.append(modulus_p2_exact(series, params.k, t, h_samples))
+            row.append(modulus_p2_exact(series, params.k, req.t, h_samples))
         rows.append(row)
     return Report(columns=columns, rows=rows, comments=[f"grid_n={n} h_samples={h_samples}"])
 
@@ -348,7 +370,7 @@ def cmd_best_approx(cfg: dict, args) -> Report:
 
 def cmd_phi_check(cfg: dict, args) -> Report:
     phi = build_phi(cfg)
-    grid_size = int(cfg_get(cfg, "sweep.grid_size", 256))
+    grid_size = _cfg_number(cfg, "sweep.grid_size", int, 256)
     rep = phi_property_check(phi, grid_size=grid_size)
     row = [phi.kind, phi.alpha if phi.alpha is not None else None, rep.c1, rep.c2, rep.passed]
     return Report(columns=["kind", "alpha", "c1", "c2", "pass"], rows=[row])
@@ -362,9 +384,9 @@ def cmd_equivalence(cfg: dict, args) -> Report:
     if any(n < 2 for n in n_values):
         raise ConfigError("equivalence sweep needs n >= 2 (phi is evaluated at 1/n)")
     n_values = sorted(set(n_values))
-    slope_tol = float(cfg_get(cfg, "tolerances.slope_tol", DEFAULT_SLOPE_TOL))
-    budget = float(cfg_get(cfg, "tolerances.truncation_budget", DEFAULT_TRUNCATION_BUDGET))
-    h_samples = int(cfg_get(cfg, "sweep.h_samples", DEFAULT_H_SAMPLES))
+    slope_tol = _cfg_number(cfg, "tolerances.slope_tol", float, DEFAULT_SLOPE_TOL)
+    budget = _cfg_number(cfg, "tolerances.truncation_budget", float, DEFAULT_TRUNCATION_BUDGET)
+    h_samples = _cfg_number(cfg, "sweep.h_samples", int, DEFAULT_H_SAMPLES)
     nu_max = args.max_nu if args.max_nu else max(4 * max(n_values), functionals.MIN_NU_MAX)
 
     table = functionals.ModulusTable(series, params.k, params.p, h_samples=h_samples)
@@ -425,7 +447,7 @@ def cmd_example(cfg: dict, args) -> Report:
     max_n = args.max_n
     profile = functionals.lacunary_log_power_profile(r, alpha, theta, lam,
                                                      range(1, max_n + 1))
-    slope_tol = float(cfg_get(cfg, "tolerances.slope_tol", DEFAULT_SLOPE_TOL))
+    slope_tol = _cfg_number(cfg, "tolerances.slope_tol", float, DEFAULT_SLOPE_TOL)
     rows = [[int(n), t1, t2, int(m), d]
             for n, t1, t2, m, d in zip(profile.ns, profile.t1, profile.t2,
                                        profile.d_ms, profile.d_values)]
@@ -462,6 +484,10 @@ def _ineq_cfg(cfg: dict, key: str):
     return cfg_get(cfg, f"ineq.{key}", DEFAULT_INEQ[key])
 
 
+def _ineq_numbers(cfg: dict, key: str, convert) -> list:
+    return [_number(convert, x, f"ineq.{key}") for x in _as_list(_ineq_cfg(cfg, key))]
+
+
 def _make_sequence(family: str, n: int, seed: int, index: int) -> tuple[np.ndarray, int | None]:
     if family == "random":
         rng = inequalities.case_rng(seed, index)
@@ -477,19 +503,21 @@ def _ineq_case_specs(cfg: dict, seed: int) -> list[dict]:
     index = 0
     lemmas = [str(x) for x in _as_list(_ineq_cfg(cfg, "lemmas"))]
     families = [str(x) for x in _as_list(_ineq_cfg(cfg, "families"))]
-    alphas = [float(x) for x in _as_list(_ineq_cfg(cfg, "alpha_values"))]
-    lams = [float(x) for x in _as_list(_ineq_cfg(cfg, "lambda_values"))]
-    ps = [float(x) for x in _as_list(_ineq_cfg(cfg, "p_values"))]
-    ps_low = [float(x) for x in _as_list(_ineq_cfg(cfg, "p_lower_values"))]
-    ms = [int(x) for x in _as_list(_ineq_cfg(cfg, "m_values"))]
-    nvals = [int(x) for x in _as_list(_ineq_cfg(cfg, "n_values"))]
+    alphas = _ineq_numbers(cfg, "alpha_values", float)
+    lams = _ineq_numbers(cfg, "lambda_values", float)
+    ps = _ineq_numbers(cfg, "p_values", float)
+    ps_low = _ineq_numbers(cfg, "p_lower_values", float)
+    ms = _ineq_numbers(cfg, "m_values", int)
+    nvals = _ineq_numbers(cfg, "n_values", int)
+    n_jensen = _number(int, _ineq_cfg(cfg, "jensen_cases"), "ineq.jensen_cases")
+    jensen_len = _number(int, _ineq_cfg(cfg, "jensen_len"), "ineq.jensen_len")
     variants = [str(x) for x in _as_list(_ineq_cfg(cfg, "variants"))]
 
     for lemma in lemmas:
         if lemma == "jensen":
-            for _ in range(int(_ineq_cfg(cfg, "jensen_cases"))):
-                specs.append({"index": index, "lemma": "jensen",
-                              "len": int(_ineq_cfg(cfg, "jensen_len")), "seed": seed})
+            for _ in range(n_jensen):
+                specs.append({"index": index, "lemma": "jensen", "len": jensen_len,
+                              "seed": seed})
                 index += 1
             continue
         p_list = ps_low if lemma == "hardy_lower" else ps

@@ -25,6 +25,11 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_GRID_N = 4096
 #: default number of shift samples on [0, t], both endpoints included
 DEFAULT_H_SAMPLES = 257
+#: modulus_p2_exact scans every shift row of supports up to this size; above it,
+#: the lowest this-many frequencies form the exact part of the row bound
+_EXACT_BLOCK = 64
+#: relative slack on that row bound, so rounding cannot prune a row that ties g(t)
+_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,36 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     return best
 
 
+def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int) -> np.ndarray:
+    """(2 sin(nu h / 2))^(2k) with one row per shift h and one column per frequency nu.
+
+    Built in place; the sin form avoids the cancellation of 2 - 2 cos(nu h) at
+    small arguments.
+    """
+    arg = np.multiply.outer(hs, 0.5 * freqs)
+    np.sin(arg, out=arg)
+    np.multiply(arg, arg, out=arg)
+    arg *= 4.0
+    if k > 1:
+        base = arg.copy()
+        for _ in range(k - 1):
+            arg *= base
+    return arg
+
+
 def modulus_p2_exact(series: CosineSeries, k: int, t: float,
                      h_samples: int = DEFAULT_H_SAMPLES) -> float:
     """Closed-form p = 2 modulus via Parseval, no spatial grid.
 
-    sup over the shift grid of sqrt(pi * sum_nu a_nu^2 (2 sin(nu h / 2))^(2k)).
+    sup over the shift grid of sqrt(pi * g(h)), g(h) = sum_nu a_nu^2 (2 sin(nu h / 2))^(2k).
     Serves as the oracle for the grid modulus at p = 2.
+
+    Supports of more than _EXACT_BLOCK frequencies are pruned with a certificate:
+    g(t) is evaluated first, and every other shift h is bounded by g over the
+    lowest _EXACT_BLOCK frequencies plus sum_{nu above} a_nu^2 min(nu h, 2)^(2k),
+    which holds because 2 |sin(x / 2)| <= min(|x|, 2).  Only the rows whose bound
+    reaches g(t) are evaluated in full; the rest are provably below it, so the
+    value is the same grid sup as a full scan, up to floating-point summation order.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"difference order k must be a positive integer, got {k}")
@@ -177,15 +206,26 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     if freqs.size == 0:
         return 0.0
     hs = shift_grid(t, h_samples)
-    # (2 sin(nu h / 2))^(2k), built in place: the sin form avoids the cancellation
-    # of 2 - 2 cos(nu h) at small arguments
-    arg = np.multiply.outer(hs, 0.5 * freqs)
-    np.sin(arg, out=arg)
-    np.multiply(arg, arg, out=arg)
-    arg *= 4.0
-    if k > 1:
-        base = arg.copy()
-        for _ in range(k - 1):
-            arg *= base
-    vals = arg @ (amps * amps)
-    return float(math.sqrt(math.pi * vals.max()))
+    w = amps * amps
+    if freqs.size <= _EXACT_BLOCK:
+        return float(math.sqrt(math.pi * (_sin_form_terms(hs, freqs, k) @ w).max()))
+
+    top = float(_sin_form_terms(hs[-1], freqs, k) @ w)
+    rest = hs[:-1]
+    bound = _sin_form_terms(rest, freqs[:_EXACT_BLOCK], k) @ w[:_EXACT_BLOCK]
+    f_hi = freqs[_EXACT_BLOCK:].astype(float)
+    w_hi = w[_EXACT_BLOCK:]
+    # rows at h = 0 keep their exact-block value, which is 0
+    pos = rest > 0.0
+    h = rest[pos]
+    # overflow only loosens the bound to inf, or to NaN via 0 * inf; both rows are kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        # P[m] = sum_{j < m} w_j f_j^(2k) and Q[m] = sum_{j >= m} w_j over the high band
+        prefix = np.concatenate(([0.0], np.cumsum(w_hi * f_hi ** (2 * k))))
+        suffix = np.concatenate((np.cumsum(w_hi[::-1])[::-1], [0.0]))
+        m = np.searchsorted(f_hi, 2.0 / h)
+        bound[pos] += h ** (2 * k) * prefix[m] + np.power(4.0, k) * suffix[m]
+    keep = ~(bound * (1.0 + _BOUND_SLACK) < top)
+    if keep.any():
+        top = max(top, float((_sin_form_terms(rest[keep], freqs, k) @ w).max()))
+    return math.sqrt(math.pi * top)

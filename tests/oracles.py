@@ -57,6 +57,14 @@ def modulus_p2_h_scan(coeffs, k: int, t: float, h_samples: int) -> float:
     return best
 
 
+def modulus_p2_full_grid(coeffs, k: int, t: float, h_samples: int) -> float:
+    """Vectorised sup over every row of the shift grid of the Parseval difference norm."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    nus = np.arange(1, coeffs.size + 1)
+    terms = (2.0 * np.sin(0.5 * np.multiply.outer(shift_grid(t, h_samples), nus))) ** (2 * k)
+    return math.sqrt(math.pi * float((terms @ (coeffs * coeffs)).max()))
+
+
 def mp_copson_tail_ratio(seq, alpha: float, lam_exp: float, p: float,
                          m: int, n: int, dps: int = 50) -> float:
     """Reverse-Copson tail ratio (p >= 1 clause) recomputed at high precision."""

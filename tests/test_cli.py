@@ -64,6 +64,25 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path, BASE_CFG.replace("params.k = 1", "params.k = 0"))
         assert main(["modulus", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("old,new", [
+        ("params.p = 2", "params.p = two"),
+        ("series.generator = power:2:256", "series.generator = power:abc"),
+        ("sweep.t_values = 0.5,1.0", "sweep.t_values = 5"),
+    ])
+    def test_bad_values_exit_2(self, tmp_path, capsys, old, new):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace(old, new))
+        assert main(["modulus", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,line", [
+        ("equivalence", "tolerances.slope_tol = tight"),
+        ("phi-check", "sweep.grid_size = big"),
+        ("ineq-sweep", "ineq.n_values = 32,many"),
+    ])
+    def test_bad_values_of_other_commands_exit_2(self, tmp_path, command, line):
+        cfg = write_cfg(tmp_path, BASE_CFG + line + "\n")
+        assert main([command, "--config", cfg]) == 2
+
 
 class TestModulusCommand:
     def test_zero_series_gives_zero_column(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigsmooth import (
     AliasError,
@@ -12,6 +14,7 @@ from trigsmooth import (
     lp_norm,
     modulus,
     modulus_p2_exact,
+    power_law_series,
     synthesize,
 )
 
@@ -55,7 +58,6 @@ class TestSynthesize:
         synthesize(harmonic(7), 16)  # fine: 16 > 14
 
     def test_tail_is_not_synthesised(self):
-        from trigsmooth import power_law_series
         with_tail = synthesize(power_law_series(2.0, 8), 64)
         without = synthesize(power_law_series(2.0, 8, with_tail=False), 64)
         np.testing.assert_array_equal(with_tail.samples, without.samples)
@@ -180,3 +182,60 @@ class TestModulusP2Exact:
         grid_val = modulus(ser, req, 4096)
         exact_val = modulus_p2_exact(ser, 1, 2.0)
         assert grid_val == pytest.approx(exact_val, rel=1e-6)
+
+
+@st.composite
+def _wide_support(draw):
+    """Coefficients with 65-300 nonzero, signed entries separated by runs of zeros."""
+    size = draw(st.integers(65, 300))
+    gaps = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    mags = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
+    signs = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    coeffs = np.zeros(sum(gaps))
+    coeffs[np.cumsum(gaps) - 1] = [-m if neg else m for m, neg in zip(mags, signs)]
+    return coeffs
+
+
+def _dirichlet_case():
+    # flat amplitudes on nu = 1..100 at t = pi: the sup sits near h = 4.5 / 100
+    return np.ones(100), math.pi
+
+
+def _two_cluster_case():
+    # a weak exact block, nu = 100 and nu = 1000: at h = t / 2 the sup needs the
+    # nu = 100 term, which lies below 2 / h and is bounded through the prefix sum
+    coeffs = np.zeros(1000)
+    coeffs[:64] = 1e-3
+    coeffs[99], coeffs[999] = 1.0, math.sqrt(0.08)
+    return coeffs, 2.0 * math.pi / 1000
+
+
+class TestModulusP2Pruned:
+    """Supports wider than the exact block take the pruned path, which must return the
+    same grid sup as a scan of every shift row."""
+
+    @given(coeffs=_wide_support(), k=st.sampled_from([1, 2, 3]),
+           t=st.floats(0.0, math.pi, exclude_min=True), h_samples=st.sampled_from([17, 33, 257]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop_oracle(self, coeffs, k, t, h_samples):
+        got = modulus_p2_exact(CosineSeries(coeffs), k, t, h_samples)
+        want = oracles.modulus_p2_h_scan(coeffs, k, t, h_samples)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", [_dirichlet_case, _two_cluster_case],
+                             ids=["dirichlet", "two_clusters"])
+    def test_sup_off_the_last_row(self, case):
+        coeffs, t = case()
+        got = modulus_p2_exact(CosineSeries(coeffs), 1, t, 257)
+        # two shift samples are h = 0 and h = t
+        assert got > oracles.modulus_p2_h_scan(coeffs, 1, t, 2) * (1 + 1e-3)
+        assert got == pytest.approx(oracles.modulus_p2_h_scan(coeffs, 1, t, 257),
+                                    rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_dense_power_law_matches_full_grid(self, k):
+        ser = power_law_series(2.0, 4096)
+        for nu in (1, 2, 17, 256, 1024):
+            got = modulus_p2_exact(ser, k, 1.0 / nu)
+            want = oracles.modulus_p2_full_grid(ser.coeffs, k, 1.0 / nu, 257)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
