@@ -17,6 +17,9 @@ sections or an equivalent JSON document::
     phi.alpha = 0.4
     sweep.n_values = 2,4,8,16,32,64,128,256
 
+Every key, with its type and default, is listed in ``CONFIG_KEYS``; any other key,
+or a non-integral value for an integer key, is a config error.
+
 Exit codes: 0 success, 2 config errors, 3 fixture/tag errors, 4 truncation budget
 exceeded.  CSV output uses a header row, comma separators, '.'-decimals,
 17-significant-digit floats and LF line endings, so identical config + seed gives
@@ -26,6 +29,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -59,9 +63,42 @@ from .errors import (
 )
 from .function_model import DEFAULT_H_SAMPLES, ModulusRequest, auto_grid_size, modulus, modulus_p2_exact
 
-DEFAULT_SLOPE_TOL = functionals.DEFAULT_SLOPE_TOL
-DEFAULT_TRUNCATION_BUDGET = 0.5
-DEFAULT_EQUIV_N = (2, 4, 8, 16, 32, 64, 128, 256)
+#: Every config key: dotted name -> (type, default).  A list type such as [float]
+#: is a comma list of that type; a default of None means the key has none.
+CONFIG_KEYS = {
+    "series.coeffs": ([float], None),
+    "series.generator": (str, None),
+    "series.tag": (str, "general"),
+    "series.tail": (str, "none"),
+    "params.p": (float, None),
+    "params.theta": (float, None),
+    "params.r": (float, None),
+    "params.lambda": (float, None),
+    "params.k": (int, None),
+    "phi.kind": (str, None),
+    "phi.alpha": (float, None),
+    "phi.deltas": ([float], None),
+    "phi.values": ([float], None),
+    "sweep.n_values": ([int], (2, 4, 8, 16, 32, 64, 128, 256)),
+    "sweep.t_values": ([float], tuple(math.pi * i / 8.0 for i in range(1, 9))),
+    "sweep.h_samples": (int, DEFAULT_H_SAMPLES),
+    "sweep.grid_n": (int, None),
+    "sweep.grid_size": (int, 256),
+    "tolerances.slope_tol": (float, functionals.DEFAULT_SLOPE_TOL),
+    "tolerances.truncation_budget": (float, 0.5),
+    "ineq.lemmas": ([str], ("jensen", "hardy_upper", "hardy_lower", "reverse_copson",
+                            "two_sided")),
+    "ineq.families": ([str], ("power", "geometric", "log_power", "random")),
+    "ineq.alpha_values": ([float], (0.5, 1.0, 2.0)),
+    "ineq.lambda_values": ([float], (-0.5, 0.0, 0.5)),
+    "ineq.p_values": ([float], (1.0, 2.0, 3.0)),
+    "ineq.p_lower_values": ([float], (0.25, 0.5, 1.0)),
+    "ineq.m_values": ([int], (2,)),
+    "ineq.n_values": ([int], (32, 128)),
+    "ineq.variants": ([str], ("tail", "head")),
+    "ineq.jensen_cases": (int, 100),
+    "ineq.jensen_len": (int, 32),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +148,17 @@ def parse_flat_config(text: str) -> dict:
     return root
 
 
+def _check_keys(node: dict, prefix: str = "") -> None:
+    for name, value in node.items():
+        key = f"{prefix}{name}"
+        if isinstance(value, dict):
+            _check_keys(value, key + ".")
+        elif key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+
+
 def load_config(path: str) -> dict:
+    """Read a flat or JSON config file; a key not in CONFIG_KEYS is a ConfigError."""
     p = Path(path)
     if not p.is_file():
         raise ConfigNotFound(f"config file not found: {path}")
@@ -123,47 +170,36 @@ def load_config(path: str) -> dict:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError("JSON config must be an object")
-        return cfg
-    return parse_flat_config(text)
+    else:
+        cfg = parse_flat_config(text)
+    _check_keys(cfg)
+    return cfg
 
 
-def cfg_get(cfg: dict, dotted: str, default=None):
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
-
-
-def _as_list(value) -> list:
-    if value is None:
-        return []
-    if isinstance(value, list):
-        return value
-    return [value]
-
-
-def _number(convert, value, what: str):
-    """convert(value) for convert in (int, float), a bad value becoming a ConfigError."""
+def _coerce(kind, value, what: str):
+    """value as kind (int, float or str); lists, booleans and non-integral ints are errors."""
     try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be {'an integer' if convert is int else 'a number'}, "
-                          f"got {value!r}") from None
+        if isinstance(value, (list, dict)) or (kind is not str and isinstance(value, bool)):
+            raise TypeError
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = {int: "an integer", float: "a number", str: "a string"}[kind]
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
 
 
-def _cfg_number(cfg: dict, dotted: str, convert, default):
-    return _number(convert, cfg_get(cfg, dotted, default), dotted)
-
-
-def _as_int_list(value, what: str) -> list[int]:
-    out = []
-    for v in _as_list(value):
-        if not isinstance(v, (int,)) or isinstance(v, bool):
-            raise ConfigError(f"{what} must be integers, got {v!r}")
-        out.append(v)
-    return out
+def setting(cfg: dict, key: str):
+    """The value of a CONFIG_KEYS key, coerced to its type; its default when absent or null."""
+    kind, default = CONFIG_KEYS[key]
+    value = cfg
+    for part in key.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    if value is None:
+        return default
+    if isinstance(kind, list):
+        return [_coerce(kind[0], v, key) for v in (value if isinstance(value, list) else [value])]
+    return _coerce(kind, value, key)
 
 
 # ---------------------------------------------------------------------------
@@ -171,83 +207,62 @@ def _as_int_list(value, what: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def build_series(cfg: dict, seed: int) -> CosineSeries:
-    scfg = cfg_get(cfg, "series")
-    if not isinstance(scfg, dict):
-        raise ConfigError("config needs a [series] section (coeffs or generator)")
-    tag = scfg.get("tag", "general")
-    tail = _build_tail(scfg.get("tail"))
-    if "coeffs" in scfg:
-        coeffs = [_number(float, c, "series.coeffs") for c in _as_list(scfg["coeffs"])]
+    tag = setting(cfg, "series.tag")
+    tail = _build_tail(setting(cfg, "series.tail"))
+    coeffs = setting(cfg, "series.coeffs")
+    if coeffs is not None:
         return CosineSeries(np.asarray(coeffs, dtype=float), tag=tag, tail=tail)
-    gen = scfg.get("generator")
+    gen = setting(cfg, "series.generator")
     if gen is None:
-        raise ConfigError("series section needs either 'coeffs' or 'generator'")
-    parts = str(gen).split(":")
-    kind, args = parts[0], parts[1:]
-    what = f"series.generator {gen!r}"
+        raise ConfigError("config needs series.coeffs or series.generator")
+    kind, *args = gen.split(":")
+
+    def arg(i: int, convert, default):
+        return _coerce(convert, args[i], f"series.generator {gen!r}") if i < len(args) else default
+
     if kind == "power":
-        s = _number(float, args[0], what) if args else 2.0
-        n_terms = _number(int, args[1], what) if len(args) > 1 else 4096
-        base = power_law_series(s, n_terms, with_tail=tail is None)
+        base = power_law_series(arg(0, float, 2.0), arg(1, int, 4096), with_tail=tail is None)
         return CosineSeries(base.coeffs, tag=tag if tag != "general" else "monotone",
                             tail=tail if tail is not None else base.tail)
     if kind == "lacunary_geometric":
-        ratio = _number(float, args[0], what) if args else 0.5
-        levels = _number(int, args[1], what) if len(args) > 1 else 16
-        return lacunary_geometric_series(ratio, levels)
+        return lacunary_geometric_series(arg(0, float, 0.5), arg(1, int, 16))
     if kind == "random_bandlimited":
-        max_freq = _number(int, args[0], what) if args else 64
-        rng = np.random.default_rng(seed)
-        base = random_bandlimited_series(rng, max_freq)
+        base = random_bandlimited_series(np.random.default_rng(seed), arg(0, int, 64))
         return CosineSeries(base.coeffs, tag=tag, tail=tail)
     raise ConfigError(f"unknown series generator {kind!r}")
 
 
-def _build_tail(spec) -> PowerLawTail | None:
-    if spec is None or spec == "none":
+def _build_tail(spec: str) -> PowerLawTail | None:
+    if spec == "none":
         return None
-    parts = str(spec).split(":")
+    parts = spec.split(":")
     if parts[0] != "power" or len(parts) != 3:
         raise ConfigError(f"tail must be 'none' or 'power:c:s', got {spec!r}")
-    return PowerLawTail(c=_number(float, parts[1], "series.tail"),
-                        s=_number(float, parts[2], "series.tail"))
+    return PowerLawTail(c=_coerce(float, parts[1], "series.tail"),
+                        s=_coerce(float, parts[2], "series.tail"))
 
 
 def build_params(cfg: dict) -> ClassParams:
-    pcfg = cfg_get(cfg, "params")
-    if not isinstance(pcfg, dict):
-        raise ConfigError("config needs a [params] section with p, theta, r, lambda, k")
+    p, theta, r, lam, k = (setting(cfg, f"params.{name}")
+                           for name in ("p", "theta", "r", "lambda", "k"))
+    if None in (p, theta, r, lam, k):
+        raise ConfigError("config needs params.p, .theta, .r, .lambda and .k")
     try:
-        return validate_params(
-            p=_number(float, pcfg["p"], "params.p"),
-            theta=_number(float, pcfg["theta"], "params.theta"),
-            r=_number(float, pcfg["r"], "params.r"),
-            lam=_number(float, pcfg["lambda"], "params.lambda"),
-            k=_number(int, pcfg["k"], "params.k"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"params section missing {exc}") from exc
+        return validate_params(p=p, theta=theta, r=r, lam=lam, k=k)
     except ConstraintViolation as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
 
 
 def build_phi(cfg: dict) -> MajorantPhi:
-    pcfg = cfg_get(cfg, "phi")
-    if not isinstance(pcfg, dict) or "kind" not in pcfg:
-        raise ConfigError("config needs a [phi] section with a 'kind'")
-    kind = pcfg["kind"]
+    kind = setting(cfg, "phi.kind")
+    if kind is None:
+        raise ConfigError("config needs phi.kind")
+    alpha = setting(cfg, "phi.alpha") if kind in ("power", "inv_log") else None
+    table = (setting(cfg, "phi.deltas"), setting(cfg, "phi.values")) if kind == "tabulated" else None
     try:
-        if kind == "power":
-            return MajorantPhi.power(_number(float, pcfg["alpha"], "phi.alpha"))
-        if kind == "inv_log":
-            return MajorantPhi.inv_log(_number(float, pcfg["alpha"], "phi.alpha"))
-        if kind == "constant":
-            return MajorantPhi.constant()
-        if kind == "tabulated":
-            return MajorantPhi.tabulated(_as_list(pcfg["deltas"]), _as_list(pcfg["values"]))
-    except (KeyError, ConstraintViolation) as exc:
+        return MajorantPhi(kind, alpha=alpha, table=table)
+    except ConstraintViolation as exc:
         raise ConfigError(f"invalid phi section: {exc}") from exc
-    raise ConfigError(f"unknown phi kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +347,20 @@ def _membership_comment(name: str, rep: functionals.MembershipReport) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
+def _modulus_requests(params: ClassParams, t_values, h_samples: int) -> list[ModulusRequest]:
+    try:
+        return [ModulusRequest(k=params.k, t=t, p=params.p, h_samples=h_samples) for t in t_values]
+    except ConstraintViolation as exc:
+        raise ConfigError(f"invalid sweep: {exc}") from exc
+
+
 def cmd_modulus(cfg: dict, args) -> Report:
     series = build_series(cfg, args.seed)
     params = build_params(cfg)
-    t_values = [_number(float, t, "sweep.t_values")
-                for t in _as_list(cfg_get(cfg, "sweep.t_values"))]
-    if not t_values:
-        t_values = [math.pi * (i + 1) / 8.0 for i in range(8)]
-    h_samples = _cfg_number(cfg, "sweep.h_samples", int, DEFAULT_H_SAMPLES)
-    grid_n = cfg_get(cfg, "sweep.grid_n")
-    n = _number(int, grid_n, "sweep.grid_n") if grid_n is not None else auto_grid_size(series)
-    try:
-        reqs = [ModulusRequest(k=params.k, t=t, p=params.p, h_samples=h_samples) for t in t_values]
-    except ConstraintViolation as exc:
-        raise ConfigError(f"invalid sweep: {exc}") from exc
+    h_samples = setting(cfg, "sweep.h_samples")
+    grid_n = setting(cfg, "sweep.grid_n")
+    n = grid_n if grid_n is not None else auto_grid_size(series)
+    reqs = _modulus_requests(params, setting(cfg, "sweep.t_values"), h_samples)
     include_exact = params.p == 2.0
     columns = ["t", "omega"] + (["omega_p2_exact"] if include_exact else [])
     rows = []
@@ -360,9 +375,8 @@ def cmd_modulus(cfg: dict, args) -> Report:
 def cmd_best_approx(cfg: dict, args) -> Report:
     series = build_series(cfg, args.seed)
     params = build_params(cfg)
-    n_values = _as_int_list(cfg_get(cfg, "sweep.n_values", list(DEFAULT_EQUIV_N)), "sweep.n_values")
     rows = []
-    for n in n_values:
+    for n in setting(cfg, "sweep.n_values"):
         res = approximation.best_approx(series, n, params.p)
         rows.append([n, res.value, res.kind])
     return Report(columns=["n", "e_value", "kind"], rows=rows)
@@ -370,9 +384,8 @@ def cmd_best_approx(cfg: dict, args) -> Report:
 
 def cmd_phi_check(cfg: dict, args) -> Report:
     phi = build_phi(cfg)
-    grid_size = _cfg_number(cfg, "sweep.grid_size", int, 256)
-    rep = phi_property_check(phi, grid_size=grid_size)
-    row = [phi.kind, phi.alpha if phi.alpha is not None else None, rep.c1, rep.c2, rep.passed]
+    rep = phi_property_check(phi, grid_size=setting(cfg, "sweep.grid_size"))
+    row = [phi.kind, phi.alpha, rep.c1, rep.c2, rep.passed]
     return Report(columns=["kind", "alpha", "c1", "c2", "pass"], rows=[row])
 
 
@@ -380,13 +393,13 @@ def cmd_equivalence(cfg: dict, args) -> Report:
     series = build_series(cfg, args.seed)
     params = build_params(cfg)
     phi = build_phi(cfg)
-    n_values = _as_int_list(cfg_get(cfg, "sweep.n_values", list(DEFAULT_EQUIV_N)), "sweep.n_values")
-    if any(n < 2 for n in n_values):
-        raise ConfigError("equivalence sweep needs n >= 2 (phi is evaluated at 1/n)")
-    n_values = sorted(set(n_values))
-    slope_tol = _cfg_number(cfg, "tolerances.slope_tol", float, DEFAULT_SLOPE_TOL)
-    budget = _cfg_number(cfg, "tolerances.truncation_budget", float, DEFAULT_TRUNCATION_BUDGET)
-    h_samples = _cfg_number(cfg, "sweep.h_samples", int, DEFAULT_H_SAMPLES)
+    n_values = sorted(set(setting(cfg, "sweep.n_values")))
+    if not n_values or n_values[0] < 2:
+        raise ConfigError("equivalence sweep needs n values >= 2 (phi is evaluated at 1/n)")
+    slope_tol = setting(cfg, "tolerances.slope_tol")
+    budget = setting(cfg, "tolerances.truncation_budget")
+    h_samples = setting(cfg, "sweep.h_samples")
+    _modulus_requests(params, [0.0], h_samples)  # modulus's check of h_samples
     nu_max = args.max_nu if args.max_nu else max(4 * max(n_values), functionals.MIN_NU_MAX)
 
     table = functionals.ModulusTable(series, params.k, params.p, h_samples=h_samples)
@@ -447,7 +460,7 @@ def cmd_example(cfg: dict, args) -> Report:
     max_n = args.max_n
     profile = functionals.lacunary_log_power_profile(r, alpha, theta, lam,
                                                      range(1, max_n + 1))
-    slope_tol = _cfg_number(cfg, "tolerances.slope_tol", float, DEFAULT_SLOPE_TOL)
+    slope_tol = setting(cfg, "tolerances.slope_tol")
     rows = [[int(n), t1, t2, int(m), d]
             for n, t1, t2, m, d in zip(profile.ns, profile.t1, profile.t2,
                                        profile.d_ms, profile.d_values)]
@@ -465,28 +478,6 @@ def cmd_example(cfg: dict, args) -> Report:
 INEQ_COLUMNS = ["lemma_id", "variant", "alpha", "lambda_exp", "p", "m", "n",
                 "lhs", "rhs", "ratio", "seed", "status", "direction", "clause"]
 
-DEFAULT_INEQ = {
-    "lemmas": ["jensen", "hardy_upper", "hardy_lower", "reverse_copson", "two_sided"],
-    "families": ["power", "geometric", "log_power", "random"],
-    "alpha_values": [0.5, 1, 2],
-    "lambda_values": [-0.5, 0.0, 0.5],
-    "p_values": [1, 2, 3],
-    "p_lower_values": [0.25, 0.5, 1],
-    "m_values": [2],
-    "n_values": [32, 128],
-    "variants": ["tail", "head"],
-    "jensen_cases": 100,
-    "jensen_len": 32,
-}
-
-
-def _ineq_cfg(cfg: dict, key: str):
-    return cfg_get(cfg, f"ineq.{key}", DEFAULT_INEQ[key])
-
-
-def _ineq_numbers(cfg: dict, key: str, convert) -> list:
-    return [_number(convert, x, f"ineq.{key}") for x in _as_list(_ineq_cfg(cfg, key))]
-
 
 def _make_sequence(family: str, n: int, seed: int, index: int) -> tuple[np.ndarray, int | None]:
     if family == "random":
@@ -498,84 +489,49 @@ def _make_sequence(family: str, n: int, seed: int, index: int) -> tuple[np.ndarr
         raise ConfigError(f"unknown sequence family {family!r}") from None
 
 
-def _ineq_case_specs(cfg: dict, seed: int) -> list[dict]:
-    specs = []
-    index = 0
-    lemmas = [str(x) for x in _as_list(_ineq_cfg(cfg, "lemmas"))]
-    families = [str(x) for x in _as_list(_ineq_cfg(cfg, "families"))]
-    alphas = _ineq_numbers(cfg, "alpha_values", float)
-    lams = _ineq_numbers(cfg, "lambda_values", float)
-    ps = _ineq_numbers(cfg, "p_values", float)
-    ps_low = _ineq_numbers(cfg, "p_lower_values", float)
-    ms = _ineq_numbers(cfg, "m_values", int)
-    nvals = _ineq_numbers(cfg, "n_values", int)
-    n_jensen = _number(int, _ineq_cfg(cfg, "jensen_cases"), "ineq.jensen_cases")
-    jensen_len = _number(int, _ineq_cfg(cfg, "jensen_len"), "ineq.jensen_len")
-    variants = [str(x) for x in _as_list(_ineq_cfg(cfg, "variants"))]
-
+def cmd_ineq_sweep(cfg: dict, args) -> Report:
+    seed = args.seed
+    lemmas, families, alphas, lams, ps, ps_low, ms, nvals, variants = (
+        setting(cfg, f"ineq.{key}") for key in (
+            "lemmas", "families", "alpha_values", "lambda_values", "p_values",
+            "p_lower_values", "m_values", "n_values", "variants"))
+    n_jensen, jensen_len = setting(cfg, "ineq.jensen_cases"), setting(cfg, "ineq.jensen_len")
+    if jensen_len < 0:
+        raise ConfigError(f"ineq.jensen_len must be non-negative, got {jensen_len}")
+    rows = []
     for lemma in lemmas:
         if lemma == "jensen":
             for _ in range(n_jensen):
-                specs.append({"index": index, "lemma": "jensen", "len": jensen_len,
-                              "seed": seed})
-                index += 1
+                rng = inequalities.case_rng(seed, len(rows))
+                exps = np.sort(rng.uniform(0.1, 4.0, size=2))
+                alpha, beta = float(exps[0]), float(max(exps[1], exps[0] + 1e-3))
+                v = inequalities.check_jensen(rng.random(jensen_len), alpha, beta)
+                rows.append(["jensen", "", alpha, 0.0, beta, 1, jensen_len,
+                             v.lhs, v.rhs, v.ratio, len(rows), "ok", v.direction, v.clause])
             continue
-        p_list = ps_low if lemma == "hardy_lower" else ps
-        for family in families:
-            for alpha in alphas:
-                for lam in lams:
-                    for p in p_list:
-                        for m in ms:
-                            for n in nvals:
-                                for variant in variants:
-                                    specs.append({
-                                        "index": index, "lemma": lemma, "family": family,
-                                        "alpha": alpha, "lam": lam, "p": p, "m": m,
-                                        "n": n, "variant": variant, "seed": seed,
-                                    })
-                                    index += 1
-    return specs
-
-
-def _eval_ineq_case(spec: dict) -> list:
-    index = spec["index"]
-    if spec["lemma"] == "jensen":
-        rng = inequalities.case_rng(spec["seed"], index)
-        exps = np.sort(rng.uniform(0.1, 4.0, size=2))
-        alpha, beta = float(exps[0]), float(max(exps[1], exps[0] + 1e-3))
-        seq = rng.random(spec["len"])
-        v = inequalities.check_jensen(seq, alpha, beta)
-        return ["jensen", "", alpha, 0.0, beta, 1, spec["len"],
-                v.lhs, v.rhs, v.ratio, index, "ok", v.direction, v.clause]
-
-    seq, used_seed = _make_sequence(spec["family"], spec["n"], spec["seed"], index)
-    base = [spec["lemma"], spec["variant"], spec["alpha"], spec["lam"], spec["p"],
-            spec["m"], spec["n"]]
-    tail = [used_seed if used_seed is not None else None]
-    try:
-        case = inequalities.IneqCase(seq=seq, alpha=spec["alpha"], lam_exp=spec["lam"],
-                                     p=spec["p"], m=spec["m"], n=spec["n"])
-        if spec["lemma"] == "hardy_upper":
-            v = inequalities.check_hardy_upper(case, spec["variant"])
-        elif spec["lemma"] == "hardy_lower":
-            v = inequalities.check_hardy_lower(case, spec["variant"])
-        elif spec["lemma"] == "reverse_copson":
-            v = inequalities.check_reverse_copson(case, spec["variant"])
-        elif spec["lemma"] == "two_sided":
-            v = replace(inequalities.check_two_sided_asymp(case, spec["variant"])[0],
-                        direction="two-sided")
-        else:
-            raise ConfigError(f"unknown lemma {spec['lemma']!r}")
-        return base + [v.lhs, v.rhs, v.ratio] + tail + ["ok", v.direction, v.clause]
-    except PreconditionError as exc:
-        return base + [0.0, 0.0, 0.0] + tail + ["skip", "", str(exc).replace(",", ";")]
-
-
-def cmd_ineq_sweep(cfg: dict, args) -> Report:
-    specs = _ineq_case_specs(cfg, args.seed)
-    rows = [_eval_ineq_case(s) for s in specs]
-    return Report(columns=INEQ_COLUMNS, rows=rows,
-                  comments=[f"seed={args.seed} cases={len(specs)}"])
+        grid = itertools.product(families, alphas, lams, ps_low if lemma == "hardy_lower" else ps,
+                                 ms, nvals, variants)
+        for family, alpha, lam, p, m, n, variant in grid:
+            seq, used_seed = _make_sequence(family, n, seed, len(rows))
+            base = [lemma, variant, alpha, lam, p, m, n]
+            try:
+                case = inequalities.IneqCase(seq=seq, alpha=alpha, lam_exp=lam, p=p, m=m, n=n)
+                if lemma == "hardy_upper":
+                    v = inequalities.check_hardy_upper(case, variant)
+                elif lemma == "hardy_lower":
+                    v = inequalities.check_hardy_lower(case, variant)
+                elif lemma == "reverse_copson":
+                    v = inequalities.check_reverse_copson(case, variant)
+                elif lemma == "two_sided":
+                    v = replace(inequalities.check_two_sided_asymp(case, variant)[0],
+                                direction="two-sided")
+                else:
+                    raise ConfigError(f"unknown lemma {lemma!r}")
+                rows.append(base + [v.lhs, v.rhs, v.ratio, used_seed, "ok", v.direction, v.clause])
+            except PreconditionError as exc:
+                rows.append(base + [0.0, 0.0, 0.0, used_seed, "skip", "",
+                                    str(exc).replace(",", ";")])
+    return Report(columns=INEQ_COLUMNS, rows=rows, comments=[f"seed={seed} cases={len(rows)}"])
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,8 @@ def lacunary_geometric_series(ratio: float, levels: int) -> CosineSeries:
 
 def random_bandlimited_series(rng: np.random.Generator, max_freq: int = 64) -> CosineSeries:
     """General-tag series with i.i.d. uniform coefficients on frequencies 1..max_freq."""
+    if max_freq < 0:
+        raise DomainError(f"max_freq must be non-negative, got {max_freq}")
     return CosineSeries(rng.random(max_freq), tag="general")
 
 

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trigsmooth import modulus_p2_exact, power_law_series
-from trigsmooth.cli import main, parse_flat_config
+from trigsmooth.cli import CONFIG_KEYS, main, parse_flat_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +27,14 @@ phi.alpha = 0.4
 sweep.n_values = 2,4,8
 sweep.t_values = 0.5,1.0
 """
+
+
+BASE_JSON = {
+    "series": {"generator": "power:2:256", "tag": "monotone"},
+    "params": {"p": 2, "theta": 1, "r": 0.5, "lambda": 0.3, "k": 1},
+    "phi": {"kind": "power", "alpha": 0.4},
+    "sweep": {"n_values": [2, 4, 8], "t_values": [0.5, 1.0]},
+}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -82,6 +92,90 @@ class TestConfigParsing:
     def test_bad_values_of_other_commands_exit_2(self, tmp_path, command, line):
         cfg = write_cfg(tmp_path, BASE_CFG + line + "\n")
         assert main([command, "--config", cfg]) == 2
+
+
+class TestConfigKeys:
+    def test_unknown_key_exits_2_and_is_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG + "params.lamda = 0.3\n")
+        assert main(["modulus", "--config", cfg]) == 2
+        assert "unknown config key 'params.lamda'" in capsys.readouterr().err
+
+    def test_unknown_json_key_exits_2(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**BASE_JSON, "sweep": {**BASE_JSON["sweep"], "grid": 64}}))
+        assert main(["modulus", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command,old,new", [
+        ("modulus", "params.k = 1", "params.k = 1.7"),
+        ("modulus", "params.k = 1", "params.k = true"),
+        ("modulus", "sweep.t_values", "sweep.h_samples = 16.9\nsweep.t_values"),
+        ("modulus", "sweep.t_values", "sweep.grid_n = 4096.5\nsweep.t_values"),
+        ("ineq-sweep", "sweep.t_values", "ineq.m_values = 2.5\nsweep.t_values"),
+        ("json", '"k": 1', '"k": true'),
+    ])
+    def test_integer_keys_reject_non_integers(self, tmp_path, capsys, command, old, new):
+        if command == "json":
+            command, path = "modulus", tmp_path / "run.json"
+            path.write_text(json.dumps(BASE_JSON).replace(old, new))
+            cfg = str(path)
+        else:
+            cfg = write_cfg(tmp_path, BASE_CFG.replace(old, new))
+        assert main([command, "--config", cfg]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg_a = write_cfg(tmp_path, BASE_CFG.replace("params.k = 1", "params.k = 2"), "a.cfg")
+        cfg_b = write_cfg(tmp_path, BASE_CFG.replace("params.k = 1", "params.k = 2.0"), "b.cfg")
+        assert main(["modulus", "--config", cfg_a, "--out", str(out_a), "--quiet"]) == 0
+        assert main(["modulus", "--config", cfg_b, "--out", str(out_b), "--quiet"]) == 0
+        assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("line", ["phi.deltas = 0.1,low,0.9\nphi.values = 0.2,0.4,0.8",
+                                      "phi.deltas = 0.1,0.5,0.9\nphi.values = 0.2,abc,0.8"])
+    def test_non_numeric_phi_table_exits_2(self, tmp_path, line):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("phi.kind = power", "phi.kind = tabulated")
+                        + line + "\n")
+        assert main(["phi-check", "--config", cfg]) == 2
+
+    def test_negative_jensen_len_exits_2(self, tmp_path):
+        cfg = write_cfg(tmp_path, "ineq.lemmas = jensen\nineq.jensen_len = -1\n")
+        assert main(["ineq-sweep", "--config", cfg]) == 2
+
+    def test_negative_bandlimited_frequency_exits_3(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("power:2:256", "random_bandlimited:-1")
+                        .replace("series.tag = monotone", "series.tag = general"))
+        assert main(["modulus", "--config", cfg]) == 3
+
+    def test_zero_grid_n_still_exits_3(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE_CFG + "sweep.grid_n = 0\n")
+        assert main(["modulus", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("h_samples", [0, 1])
+    def test_equivalence_rejects_few_h_samples(self, tmp_path, capsys, h_samples):
+        cfg = write_cfg(tmp_path, BASE_CFG + f"sweep.h_samples = {h_samples}\n")
+        assert main(["equivalence", "--config", cfg]) == 2
+        assert "h_samples must be at least 16" in capsys.readouterr().err
+
+
+FUZZ_BASE = dict(line.split(" = ") for line in BASE_CFG.replace(
+    "power:2:256", "power:2:64").splitlines())
+FUZZ_KEYS = sorted(CONFIG_KEYS) + ["params.lamda"]
+FUZZ_TOKENS = ["2", "-1", "0", "1.5", "nan", "abc", "true", "1,2", "power:2:64", "none"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["best-approx", "modulus", "phi-check"]),
+       overrides=st.dictionaries(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_TOKENS),
+                                 max_size=4))
+def test_fuzzed_config_never_tracebacks(tmp_path, command, overrides):
+    # every key of the table plus one misspelt key, set to small tokens: no token
+    # sizes an array beyond a few thousand entries, so each call stays cheap
+    text = "".join(f"{k} = {v}\n" for k, v in {**FUZZ_BASE, **overrides}.items())
+    out = tmp_path / "fuzz.csv"
+    assert main([command, "--config", write_cfg(tmp_path, text, "fuzz.cfg"),
+                 "--out", str(out), "--quiet"]) in (0, 2, 3, 4)
 
 
 class TestModulusCommand:
