@@ -68,7 +68,7 @@ from .function_model import DEFAULT_H_SAMPLES, ModulusRequest, auto_grid_size, m
 CONFIG_KEYS = {
     "series.coeffs": ([float], None),
     "series.generator": (str, None),
-    "series.tag": (str, "general"),
+    "series.tag": (str, None),
     "series.tail": (str, "none"),
     "params.p": (float, None),
     "params.theta": (float, None),
@@ -207,11 +207,12 @@ def setting(cfg: dict, key: str):
 # ---------------------------------------------------------------------------
 
 def build_series(cfg: dict, seed: int) -> CosineSeries:
-    tag = setting(cfg, "series.tag")
+    tag = setting(cfg, "series.tag")  # None: the generator's own tag
     tail = _build_tail(setting(cfg, "series.tail"))
     coeffs = setting(cfg, "series.coeffs")
     if coeffs is not None:
-        return CosineSeries(np.asarray(coeffs, dtype=float), tag=tag, tail=tail)
+        return CosineSeries(np.asarray(coeffs, dtype=float),
+                            tag="general" if tag is None else tag, tail=tail)
     gen = setting(cfg, "series.generator")
     if gen is None:
         raise ConfigError("config needs series.coeffs or series.generator")
@@ -222,13 +223,16 @@ def build_series(cfg: dict, seed: int) -> CosineSeries:
 
     if kind == "power":
         base = power_law_series(arg(0, float, 2.0), arg(1, int, 4096), with_tail=tail is None)
-        return CosineSeries(base.coeffs, tag=tag if tag != "general" else "monotone",
+        return CosineSeries(base.coeffs, tag=tag if tag not in (None, "general") else "monotone",
                             tail=tail if tail is not None else base.tail)
     if kind == "lacunary_geometric":
+        if tag not in (None, "lacunary") or tail is not None:
+            raise ConfigError(f"series.generator {gen!r} makes a lacunary series with no "
+                              "tail: series.tag must be lacunary or unset, series.tail none")
         return lacunary_geometric_series(arg(0, float, 0.5), arg(1, int, 16))
     if kind == "random_bandlimited":
         base = random_bandlimited_series(np.random.default_rng(seed), arg(0, int, 64))
-        return CosineSeries(base.coeffs, tag=tag, tail=tail)
+        return CosineSeries(base.coeffs, tag="general" if tag is None else tag, tail=tail)
     raise ConfigError(f"unknown series generator {kind!r}")
 
 

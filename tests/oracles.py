@@ -65,6 +65,21 @@ def modulus_p2_full_grid(coeffs, k: int, t: float, h_samples: int) -> float:
     return math.sqrt(math.pi * float((terms @ (coeffs * coeffs)).max()))
 
 
+def modulus_grid_full_scan(coeffs, k: int, t: float, p: float, h_samples: int, n: int) -> float:
+    """Unpruned grid modulus: every row of the shift grid synthesised on its own (numpy
+    irfft of the exact difference spectrum), its rectangle-rule L_p norm taken, and the
+    largest one returned."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    nus = np.arange(1, coeffs.size + 1)
+    best = 0.0
+    for h in shift_grid(t, h_samples):
+        spec = np.zeros(n // 2 + 1, dtype=complex)
+        spec[nus] = 0.5 * n * coeffs * (np.exp(1j * nus * h) - 1.0) ** k
+        diff = np.fft.irfft(spec, n=n)
+        best = max(best, float((2.0 * math.pi / n * np.sum(np.abs(diff) ** p)) ** (1.0 / p)))
+    return best
+
+
 def mp_copson_tail_ratio(seq, alpha: float, lam_exp: float, p: float,
                          m: int, n: int, dps: int = 50) -> float:
     """Reverse-Copson tail ratio (p >= 1 clause) recomputed at high precision."""

@@ -131,6 +131,21 @@ class TestConfigKeys:
         assert main(["modulus", "--config", cfg_b, "--out", str(out_b), "--quiet"]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("lines", ["series.tag = monotone\nseries.tail = power:1:2",
+                                       "series.tag = monotone", "series.tag = general",
+                                       "series.tail = power:1:2"])
+    def test_lacunary_generator_rejects_tag_and_tail(self, tmp_path, capsys, lines):
+        cfg = BASE_CFG.replace("series.generator = power:2:256\nseries.tag = monotone",
+                               "series.generator = lacunary_geometric:0.5:8\n" + lines)
+        assert main(["equivalence", "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert "lacunary_geometric:0.5:8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", ["", "series.tag = lacunary\nseries.tail = none"])
+    def test_lacunary_generator_takes_its_own_tag(self, tmp_path, lines):
+        cfg = BASE_CFG.replace("series.generator = power:2:256\nseries.tag = monotone",
+                               "series.generator = lacunary_geometric:0.5:8\n" + lines)
+        assert main(["modulus", "--config", write_cfg(tmp_path, cfg), "--quiet"]) == 0
+
     @pytest.mark.parametrize("line", ["phi.deltas = 0.1,low,0.9\nphi.values = 0.2,0.4,0.8",
                                       "phi.deltas = 0.1,0.5,0.9\nphi.values = 0.2,abc,0.8"])
     def test_non_numeric_phi_table_exits_2(self, tmp_path, line):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from trigsmooth import (
     power_law_series,
     synthesize,
 )
+from trigsmooth.function_model import auto_grid_size
 
 import oracles
 
@@ -185,9 +188,9 @@ class TestModulusP2Exact:
 
 
 @st.composite
-def _wide_support(draw):
-    """Coefficients with 65-300 nonzero, signed entries separated by runs of zeros."""
-    size = draw(st.integers(65, 300))
+def _signed_support(draw, min_size, max_size):
+    """Coefficients with min_size to max_size nonzero, signed entries separated by runs of zeros."""
+    size = draw(st.integers(min_size, max_size))
     gaps = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
     mags = draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size))
     signs = draw(st.lists(st.booleans(), min_size=size, max_size=size))
@@ -214,7 +217,7 @@ class TestModulusP2Pruned:
     """Supports wider than the exact block take the pruned path, which must return the
     same grid sup as a scan of every shift row."""
 
-    @given(coeffs=_wide_support(), k=st.sampled_from([1, 2, 3]),
+    @given(coeffs=_signed_support(65, 300), k=st.sampled_from([1, 2, 3]),
            t=st.floats(0.0, math.pi, exclude_min=True), h_samples=st.sampled_from([17, 33, 257]))
     @settings(max_examples=40, deadline=None)
     def test_matches_loop_oracle(self, coeffs, k, t, h_samples):
@@ -239,3 +242,85 @@ class TestModulusP2Pruned:
             got = modulus_p2_exact(ser, k, 1.0 / nu)
             want = oracles.modulus_p2_full_grid(ser.coeffs, k, 1.0 / nu, 257)
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _harmonic_past_peak():
+    # 2 |sin(h)| peaks at h = pi / 2, inside the shift range, and is 7% lower at h = t
+    return np.array([0.0, 1.0]), 1.95
+
+
+@pytest.fixture
+def irfft_rows(monkeypatch):
+    """Number of rows of each scipy.fft.irfft call made while the test runs."""
+    rows = []
+    real = scipy.fft.irfft
+
+    def counting(x, *args, **kwargs):
+        rows.append(x.shape[0] if x.ndim > 1 else 1)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "irfft", counting)
+    return rows
+
+
+class TestModulusPruned:
+    """The grid modulus evaluates on the grid only the shift rows whose coefficient bound
+    reaches the best row so far; its value must be the sup over every row."""
+
+    @given(coeffs=_signed_support(1, 120), k=st.sampled_from([1, 2, 3]),
+           t=st.floats(0.0, math.pi, exclude_min=True),
+           p=st.sampled_from([1.05, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0]),
+           h_samples=st.sampled_from([17, 33, 257]), oversample=st.sampled_from([1, 2, 4]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_scan(self, coeffs, k, t, p, h_samples, oversample):
+        ser = CosineSeries(coeffs)
+        n = auto_grid_size(ser, 8) * oversample
+        got = modulus(ser, ModulusRequest(k=k, t=t, p=p, h_samples=h_samples), n)
+        want = oracles.modulus_grid_full_scan(coeffs, k, t, p, h_samples, n)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("case", [_dirichlet_case, _harmonic_past_peak],
+                             ids=["dirichlet", "harmonic_past_peak"])
+    def test_sup_off_the_last_row(self, case, p):
+        coeffs, t = case()
+        ser = CosineSeries(coeffs)
+        n = auto_grid_size(ser)
+        got = modulus(ser, ModulusRequest(k=1, t=t, p=p), n)
+        # two shift samples are h = 0 and h = t
+        assert got > oracles.modulus_grid_full_scan(coeffs, 1, t, p, 2, n) * (1 + 1e-3)
+        assert got == pytest.approx(oracles.modulus_grid_full_scan(coeffs, 1, t, p, 257, n),
+                                    rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_tying_the_last_row_are_evaluated(self, irfft_rows, m, k):
+        # |2 sin((2m + 1) h)|^k peaks at h = t = pi / 2 and at m more shift rows; at p = 2
+        # each row's bound is its own value, so only the slack keeps the tied rows
+        coeffs = np.zeros(4 * m + 2)
+        coeffs[-1] = 0.7
+        req = ModulusRequest(k=k, t=math.pi / 2, p=2.0, h_samples=8 * (2 * m + 1) + 1)
+        got = modulus(CosineSeries(coeffs), req, 64)
+        assert got == pytest.approx(0.7 * 2.0 ** k * SQRT_PI, rel=1e-14)
+        assert sum(irfft_rows) == m + 1
+
+    def test_power_law_at_p3_evaluates_few_rows(self, irfft_rows):
+        modulus(power_law_series(2.0, 256), ModulusRequest(k=1, t=1.0 / 16, p=3.0), 4096)
+        assert sum(irfft_rows) < 257 // 2
+
+    def test_spectrum_batch_memory_is_capped_at_large_grids(self, irfft_rows):
+        # 64 harmonics of random sign spread up to 2**20: at p = 7 the sup-norm bound is
+        # loose, so most rows survive and the batches are full
+        rng = np.random.default_rng(5)
+        coeffs = np.zeros(2**20 - 1)
+        coeffs[rng.choice(coeffs.size, 64, replace=False)] = rng.choice([-1.0, 1.0], 64)
+        ser = CosineSeries(coeffs)
+        tracemalloc.start()
+        try:
+            modulus(ser, ModulusRequest(k=1, t=math.pi, p=7.0, h_samples=17), 2**21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(irfft_rows) > 8
+        # one batch: about 2**22 complex spectrum entries (64 MiB) and its 64 MiB of rows
+        assert peak < 160 * 2**20
