@@ -73,11 +73,9 @@ def best_approx(series: CosineSeries, n: int, p: float,
         raise DomainError(f"exponent p must lie in (1, inf), got {p}")
     if p == 2.0:
         return ApproxResult(n=n, value=math.sqrt(math.pi * l2_tail_sq(series, n)), kind=EXACT_P2)
-    resid = np.array(series.coeffs, copy=True)
-    resid[: min(n - 1, resid.size)] = 0.0
-    resid_series = CosineSeries(resid, tag="general")
-    if resid_series.max_freq == 0:
-        return ApproxResult(n=n, value=0.0, kind=PARTIAL_SUM)
+    freqs, amps = series.support()
+    keep = freqs >= n
+    resid_series = CosineSeries.from_support(freqs[keep], amps[keep], series.n_stored)
     gn = grid_n if grid_n is not None else auto_grid_size(resid_series)
     value = lp_norm(synthesize(resid_series, gn), p)
     return ApproxResult(n=n, value=value, kind=PARTIAL_SUM)

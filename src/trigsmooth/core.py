@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .errors import ConstraintViolation, DivideByZeroError, DomainError, TagErro
 TAGS = ("general", "monotone", "lacunary")
 PHI_KINDS = ("power", "constant", "inv_log", "tabulated")
 
-#: Largest frequency for which coefficient arrays are materialised densely.
-DENSE_FREQ_CAP = 2**22
+#: Largest dense coefficient array or spatial grid, in entries (128 MiB of float64).
+DENSE_LIMIT = 2**24
 
 
 @dataclass(frozen=True)
@@ -51,101 +51,117 @@ def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CosineSeries:
-    """Finite stored coefficients a_1..a_N of a cosine series, plus an optional tail.
+    """Stored coefficients a_1..a_N of a cosine series, plus an optional tail.
 
-    ``coeffs[i]`` is the coefficient of cos((i+1) x).  The tail model, when present,
+    Only the nonzero support is stored: ascending int64 ``freqs`` and their ``amps``,
+    both read-only, with N = ``n_stored``.  ``coeffs`` is a dense view built on demand,
+    whose entry i is the coefficient of cos((i+1) x).  The tail model, when present,
     describes coefficients beyond the stored range; it participates in coefficient-side
     computations (Parseval tails, coefficient functionals) but is never synthesised.
-    The nonzero support is computed once at construction; code outside this module
-    reads the stored coefficients through ``support()``.
+    Code outside this module reads the stored coefficients through ``support()``.
     """
 
-    coeffs: np.ndarray
+    freqs: np.ndarray
+    amps: np.ndarray
+    n_stored: int
     tag: str = "general"
     tail: PowerLawTail | None = None
-    _support: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float, copy=True)
+    def __init__(self, coeffs, tag: str = "general", tail: PowerLawTail | None = None):
+        coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.ndim != 1:
             raise ConstraintViolation("coeffs must be one-dimensional")
-        if coeffs.size and not np.all(np.isfinite(coeffs)):
+        self._store(np.arange(1, coeffs.size + 1), coeffs, coeffs.size, tag, tail)
+
+    @classmethod
+    def from_support(cls, freqs, amps, n_stored: int, tag: str = "general",
+                     tail: PowerLawTail | None = None) -> "CosineSeries":
+        """Series with a_nu = amps[i] at nu = freqs[i], strictly increasing in
+        1..n_stored, and a_nu = 0 at every other nu up to n_stored."""
+        series = object.__new__(cls)
+        series._store(np.asarray(freqs, dtype=np.int64), np.asarray(amps, dtype=float),
+                      n_stored, tag, tail)
+        return series
+
+    def _store(self, freqs: np.ndarray, amps: np.ndarray, n_stored: int, tag: str,
+               tail: PowerLawTail | None) -> None:
+        if freqs.ndim != 1 or freqs.shape != amps.shape or (freqs.size and (
+                freqs[0] < 1 or freqs[-1] > n_stored or np.any(np.diff(freqs) <= 0))):
+            raise ConstraintViolation("need one amplitude per frequency, frequencies "
+                                      "increasing strictly within 1..n_stored")
+        freqs, amps = freqs[amps != 0], amps[amps != 0]
+        if not np.all(np.isfinite(amps)):
             raise ConstraintViolation("coefficients must all be finite")
-        if self.tag not in TAGS:
-            raise ConstraintViolation(f"unknown tag {self.tag!r}, expected one of {TAGS}")
-        if self.tag in ("monotone", "lacunary") and coeffs.size and coeffs.min() < 0:
-            raise ConstraintViolation(f"{self.tag} series requires non-negative coefficients")
-        if self.tag == "monotone" and np.any(np.diff(coeffs) > 0):
+        if tag not in TAGS:
+            raise ConstraintViolation(f"unknown tag {tag!r}, expected one of {TAGS}")
+        if tag in ("monotone", "lacunary") and amps.size and amps.min() < 0:
+            raise ConstraintViolation(f"{tag} series requires non-negative coefficients")
+        # non-negative and non-increasing means support 1..m with non-increasing amps
+        if tag == "monotone" and freqs.size and (freqs[-1] != freqs.size
+                                                 or np.any(np.diff(amps) > 0)):
             raise ConstraintViolation("monotone series requires non-increasing coefficients")
-        if self.tag == "lacunary":
-            nus = np.arange(1, coeffs.size + 1)
-            off_support = (nus & (nus - 1)) != 0
-            if np.any(coeffs[off_support] != 0):
+        if tag == "lacunary":
+            if np.any(freqs & (freqs - 1)):
                 raise ConstraintViolation("lacunary series must vanish off powers of two")
-            if self.tail is not None:
+            if tail is not None:
                 raise ConstraintViolation("a dense power-law tail is incompatible with lacunarity")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-        nz = np.flatnonzero(coeffs)
-        freqs, amps = nz + 1, coeffs[nz]
         freqs.setflags(write=False)
         amps.setflags(write=False)
-        object.__setattr__(self, "_support", (freqs, amps))
+        for name, value in (("freqs", freqs), ("amps", amps), ("n_stored", int(n_stored)),
+                            ("tag", tag), ("tail", tail)):
+            object.__setattr__(self, name, value)
 
     @property
-    def n_stored(self) -> int:
-        return int(self.coeffs.size)
+    def coeffs(self) -> np.ndarray:
+        """Dense read-only a_1..a_N, built on each access."""
+        return self.coeffs_upto(self.n_stored)
 
     @property
     def max_freq(self) -> int:
         """Largest stored frequency with a nonzero coefficient (0 for the zero series)."""
-        freqs = self._support[0]
-        return int(freqs[-1]) if freqs.size else 0
+        return int(self.freqs[-1]) if self.freqs.size else 0
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """(frequencies, coefficients) of the nonzero stored part, ascending and read-only."""
-        return self._support
+        return self.freqs, self.amps
 
     def coeff(self, nu: int) -> float:
         """a_nu, consulting the tail model beyond the stored range."""
         if nu < 1:
             raise DomainError("frequencies start at nu = 1")
-        if nu <= self.n_stored:
-            return float(self.coeffs[nu - 1])
-        if self.tail is not None:
-            return self.tail.coeff(nu)
-        return 0.0
+        if nu > self.n_stored:
+            return self.tail.coeff(nu) if self.tail is not None else 0.0
+        i = int(np.searchsorted(self.freqs, nu))
+        return float(self.amps[i]) if i < self.freqs.size and self.freqs[i] == nu else 0.0
 
     def coeffs_upto(self, n: int) -> np.ndarray:
-        """Dense a_1..a_n, extending via the tail model when n exceeds storage."""
-        if n > DENSE_FREQ_CAP:
-            raise DomainError(f"dense extension capped at {DENSE_FREQ_CAP} frequencies")
-        if n <= self.n_stored:
-            return self.coeffs[:n]
+        """Dense read-only a_1..a_n, extending via the tail model when n exceeds storage."""
+        if n > DENSE_LIMIT:
+            raise DomainError(f"{n} dense coefficients exceed the limit of {DENSE_LIMIT} entries")
         out = np.zeros(n)
-        out[: self.n_stored] = self.coeffs
-        if self.tail is not None:
-            nus = np.arange(self.n_stored + 1, n + 1)
-            out[self.n_stored:] = self.tail.coeffs(nus)
+        m = np.searchsorted(self.freqs, n, side="right")
+        out[self.freqs[:m] - 1] = self.amps[:m]
+        if self.tail is not None and n > self.n_stored:
+            out[self.n_stored:] = self.tail.coeffs(np.arange(self.n_stored + 1, n + 1))
+        out.setflags(write=False)
         return out
 
     def lacunary_view(self) -> np.ndarray:
         """Level-indexed coefficients a_mu (frequency 2**mu) of a lacunary series."""
         if self.tag != "lacunary":
             raise TagError(f"lacunary view requires tag 'lacunary', got {self.tag!r}")
-        if self.n_stored == 0:
-            return np.zeros(0)
-        levels = int(math.floor(math.log2(self.n_stored))) + 1
-        freqs = 2 ** np.arange(levels)
-        return self.coeffs[freqs - 1]
+        out = np.zeros(self.n_stored.bit_length())
+        out[[int(nu).bit_length() - 1 for nu in self.freqs]] = self.amps
+        return out
 
     def scaled(self, c: float) -> "CosineSeries":
         if c < 0:
             raise DomainError("scaling that preserves the tag requires c >= 0")
         tail = PowerLawTail(c * self.tail.c, self.tail.s) if self.tail is not None else None
-        return CosineSeries(c * self.coeffs, tag=self.tag, tail=tail)
+        return CosineSeries.from_support(self.freqs, c * self.amps, self.n_stored,
+                                         tag=self.tag, tail=tail)
 
 
 def power_law_series(s: float, n_terms: int, c: float = 1.0, with_tail: bool = True) -> CosineSeries:
@@ -155,25 +171,25 @@ def power_law_series(s: float, n_terms: int, c: float = 1.0, with_tail: bool = T
     return CosineSeries(c * nus ** (-s), tag="monotone", tail=tail)
 
 
+def _check_levels(levels: int) -> None:
+    if levels > 63:
+        raise DomainError(f"{levels} levels need frequency 2**{levels - 1}, beyond int64")
+
+
 def lacunary_series(mu_coeffs) -> CosineSeries:
-    """Lacunary series from level-indexed coefficients a_mu, materialised densely."""
+    """Lacunary series from level-indexed coefficients a_mu, stored as a support."""
     mu_coeffs = np.asarray(mu_coeffs, dtype=float)
-    if mu_coeffs.size == 0:
-        return CosineSeries(np.zeros(0), tag="lacunary")
-    top = 2 ** (mu_coeffs.size - 1)
-    if top > DENSE_FREQ_CAP:
-        raise DomainError(
-            f"{mu_coeffs.size} levels need frequency {top} > dense cap {DENSE_FREQ_CAP}"
-        )
-    dense = np.zeros(top)
-    dense[2 ** np.arange(mu_coeffs.size) - 1] = mu_coeffs
-    return CosineSeries(dense, tag="lacunary")
+    levels = mu_coeffs.size
+    _check_levels(levels)
+    return CosineSeries.from_support(2 ** np.arange(levels, dtype=np.int64), mu_coeffs,
+                                     2 ** (levels - 1) if levels else 0, tag="lacunary")
 
 
 def lacunary_geometric_series(ratio: float, levels: int) -> CosineSeries:
     """Lacunary series with a_mu = ratio**mu for mu = 0..levels-1."""
     if not (0 < ratio < 1):
         raise DomainError("geometric ratio must lie in (0, 1)")
+    _check_levels(levels)
     return lacunary_series(ratio ** np.arange(levels, dtype=float))
 
 

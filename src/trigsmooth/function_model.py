@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .core import CosineSeries, GridFunction
+from .core import DENSE_LIMIT, CosineSeries, GridFunction
 from .errors import AliasError, ConstraintViolation, DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -54,9 +54,17 @@ class ModulusRequest:
             raise ConstraintViolation("h_samples must be at least 16")
 
 
-def _check_grid_size(n: int) -> None:
+def _check_grid(series: CosineSeries, n: int) -> None:
+    """Raise unless n is a power of two from 8 to DENSE_LIMIT that holds the stored
+    harmonics alias-free, before anything of size n is allocated."""
     if n < 8 or (n & (n - 1)) != 0:
         raise DomainError(f"grid size must be a power of two >= 8, got {n}")
+    if n > DENSE_LIMIT:
+        raise DomainError(f"grid size {n} exceeds the limit of {DENSE_LIMIT} points")
+    if n <= 2 * series.max_freq:
+        raise AliasError(
+            f"grid size {n} cannot hold frequency {series.max_freq} (need n > {2 * series.max_freq})"
+        )
 
 
 def _series_spectrum(series: CosineSeries, n: int) -> np.ndarray:
@@ -81,15 +89,9 @@ def synthesize(series: CosineSeries, n: int) -> GridFunction:
 
     The analytic tail model is deliberately not synthesised; it only feeds
     coefficient-side computations.  Raises AliasError when n <= 2 * max stored
-    frequency, since then the samples would alias.
+    frequency, since then the samples would alias, and DomainError above DENSE_LIMIT.
     """
-    _check_grid_size(n)
-    if series.max_freq > 0 and n <= 2 * series.max_freq:
-        raise AliasError(
-            f"grid size {n} cannot hold frequency {series.max_freq} (need n > {2 * series.max_freq})"
-        )
-    if series.max_freq == 0:
-        return GridFunction(np.zeros(n))
+    _check_grid(series, n)
     return GridFunction(np.fft.irfft(_series_spectrum(series, n), n=n))
 
 
@@ -144,14 +146,10 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     """
     if req.t == 0.0:
         return 0.0
-    _check_grid_size(n)
-    if series.max_freq > 0 and n <= 2 * series.max_freq:
-        raise AliasError(
-            f"grid size {n} cannot hold frequency {series.max_freq} (need n > {2 * series.max_freq})"
-        )
-    if series.max_freq == 0:
-        return 0.0
+    _check_grid(series, n)
     freqs, amps = series.support()
+    if freqs.size == 0:
+        return 0.0
     hs = shift_grid(req.t, req.h_samples)
     # rows per batch: about 2**22 complex spectrum entries at every grid size
     h_chunk = max(1, 2**23 // n)
@@ -172,8 +170,7 @@ def _grid_sup(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
     mult = (np.exp(1j * np.outer(hs, freqs.astype(float))) - 1.0) ** req.k
     spec = np.zeros((hs.size, n // 2 + 1), dtype=complex)
     spec[:, freqs] = mult * (0.5 * n * amps)
-    # batch transform; workers only split the batch axis, values are unchanged
-    diffs = scipy.fft.irfft(spec, n=n, axis=-1, workers=-1)
+    diffs = scipy.fft.irfft(spec, n=n, axis=-1)
     if req.p == 2.0:
         sums = np.einsum("ij,ij->i", diffs, diffs)
     else:

@@ -65,6 +65,22 @@ def modulus_p2_full_grid(coeffs, k: int, t: float, h_samples: int) -> float:
     return math.sqrt(math.pi * float((terms @ (coeffs * coeffs)).max()))
 
 
+def mp_modulus_p2(freqs, amps, k: int, t: float, h_samples: int, dps: int = 40) -> float:
+    """sup over the float shift grid of sqrt(pi * g(h)), with
+    g(h) = sum a_nu^2 (2 sin(nu h / 2))^(2k) summed in mpmath at dps digits.
+
+    Each nu * h and its sine are evaluated in mpmath, so the result does not
+    depend on the float sine at large arguments (nu up to 2**62)."""
+    with mpmath.workdps(dps):
+        best = mpmath.mpf(0)
+        for h in shift_grid(t, h_samples):
+            h_mp = mpmath.mpf(float(h))
+            g = mpmath.fsum(mpmath.mpf(float(a)) ** 2
+                            * (2 * mpmath.sin(mpmath.mpf(int(nu)) * h_mp / 2)) ** (2 * k)
+                            for nu, a in zip(freqs, amps))
+            best = max(best, g)
+        return float(mpmath.sqrt(mpmath.pi * best))
+
 def modulus_grid_full_scan(coeffs, k: int, t: float, p: float, h_samples: int, n: int) -> float:
     """Unpruned grid modulus: every row of the shift grid synthesised on its own (numpy
     irfft of the exact difference spectrum), its rectangle-rule L_p norm taken, and the

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,24 @@ class TestConfigKeys:
     def test_zero_grid_n_still_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG + "sweep.grid_n = 0\n")
         assert main(["modulus", "--config", cfg]) == 3
+
+    @pytest.mark.parametrize("old, new", [
+        ("params.k = 1", "params.k = 1\nsweep.grid_n = 33554432"),
+        ("series.generator = power:2:256\nseries.tag = monotone\nparams.p = 2",
+         "series.generator = lacunary_geometric:0.5:61\nparams.p = 3"),
+        ("series.generator = power:2:256\nseries.tag = monotone",
+         "series.generator = lacunary_geometric:0.5:64"),
+    ])
+    def test_oversized_grid_or_levels_exit_3_before_allocating(self, tmp_path, old, new):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace(old, new))
+        tracemalloc.start()
+        try:
+            code = main(["modulus", "--config", cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 2**22
 
     @pytest.mark.parametrize("h_samples", [0, 1])
     def test_equivalence_rejects_few_h_samples(self, tmp_path, capsys, h_samples):

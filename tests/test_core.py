@@ -20,6 +20,7 @@ from trigsmooth import (
     power_law_series,
     validate_params,
 )
+from trigsmooth.core import DENSE_LIMIT
 
 
 class TestValidateParams:
@@ -185,6 +186,81 @@ class TestCosineSeries:
             freqs[0] = 1
         with pytest.raises(ValueError):
             amps[0] = 5.0
+
+    def test_monotone_tag_rejects_interior_zero(self):
+        with pytest.raises(ConstraintViolation):
+            CosineSeries(np.array([1.0, 0.0, 0.5]), tag="monotone")
+
+    def test_from_support_rejects_unordered_frequencies(self):
+        with pytest.raises(ConstraintViolation):
+            CosineSeries.from_support([4, 2], [1.0, 1.0], 4)
+        with pytest.raises(ConstraintViolation):
+            CosineSeries.from_support([2, 8], [1.0, 1.0], 4)
+
+    def test_lacunary_levels_up_to_63(self):
+        ser = lacunary_series(np.ones(63))
+        assert ser.max_freq == 2**62 and ser.n_stored == 2**62
+        np.testing.assert_array_equal(ser.lacunary_view(), np.ones(63))
+        for build in (lambda: lacunary_series(np.ones(64)),
+                      lambda: lacunary_geometric_series(0.5, 64)):
+            with pytest.raises(DomainError):
+                build()
+
+    def test_dense_view_refused_above_the_limit(self):
+        ser = lacunary_series(np.ones(26))  # n_stored = 2**25
+        with pytest.raises(DomainError):
+            ser.coeffs
+        with pytest.raises(DomainError):
+            power_law_series(2.0, 16).coeffs_upto(DENSE_LIMIT + 1)
+
+
+@st.composite
+def _dense_and_tail(draw):
+    """A dense coefficient array with interior and trailing zeros, shaped so that
+    each tag holds for some draws, and an optional power-law tail."""
+    size = draw(st.integers(0, 40))
+    # v + 0.0 turns a drawn -0.0 into +0.0: zeros are not stored, so they come back as +0.0
+    vals = draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False).map(lambda v: v + 0.0),
+                         min_size=size, max_size=size))
+    zeros = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    x = np.array([0.0 if z else v for v, z in zip(vals, zeros)])
+    shape = draw(st.sampled_from(["signed", "non_increasing", "powers_of_two"]))
+    if shape == "non_increasing":
+        x = -np.sort(-np.abs(x))
+    elif shape == "powers_of_two":
+        nus = np.arange(1, size + 1)
+        x = np.where((nus & (nus - 1)) == 0, np.abs(x), 0.0)
+    x = np.concatenate([x, np.zeros(draw(st.integers(0, 5)))])
+    tail = draw(st.one_of(st.none(), st.builds(PowerLawTail, st.floats(0.0, 10.0),
+                                                st.floats(0.6, 4.0))))
+    return x, tail
+
+
+class TestSparseStorage:
+    @given(case=_dense_and_tail())
+    @settings(max_examples=200, deadline=None)
+    def test_dense_round_trip(self, case):
+        x, tail = case
+        nus = np.arange(1, x.size + 1)
+        holds = {"general": True,
+                 "monotone": bool(np.all(x >= 0) and np.all(np.diff(x) <= 0)),
+                 "lacunary": bool(np.all(x >= 0) and np.all(x[(nus & (nus - 1)) != 0] == 0)
+                                  and tail is None)}
+        for tag, ok in holds.items():
+            if not ok:
+                with pytest.raises(ConstraintViolation):
+                    CosineSeries(x, tag=tag, tail=tail)
+                continue
+            ser = CosineSeries(x, tag=tag, tail=tail)
+            assert ser.coeffs.tobytes() == x.tobytes()
+            for n in (0, x.size // 2, x.size, x.size + 7):
+                beyond = (tail.coeffs(np.arange(x.size + 1, n + 1)) if tail is not None
+                          else np.zeros(max(n - x.size, 0)))
+                want = np.concatenate([x[:n], beyond])
+                assert ser.coeffs_upto(n).tobytes() == want.tobytes()
+            for nu in range(1, x.size + 8):
+                want = x[nu - 1] if nu <= x.size else (tail.coeff(nu) if tail else 0.0)
+                assert ser.coeff(nu) == want
 
 
 class TestGridAndCurve:

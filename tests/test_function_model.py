@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from trigsmooth import (
     AliasError,
     CosineSeries,
+    DomainError,
     GridFunction,
     ModulusRequest,
     difference,
@@ -19,6 +20,7 @@ from trigsmooth import (
     power_law_series,
     synthesize,
 )
+from trigsmooth.core import DENSE_LIMIT
 from trigsmooth.function_model import auto_grid_size
 
 import oracles
@@ -64,6 +66,19 @@ class TestSynthesize:
         with_tail = synthesize(power_law_series(2.0, 8), 64)
         without = synthesize(power_law_series(2.0, 8, with_tail=False), 64)
         np.testing.assert_array_equal(with_tail.samples, without.samples)
+
+    def test_grid_above_the_limit_is_refused_before_allocating(self):
+        ser = CosineSeries(np.array([1.0]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="exceeds the limit"):
+                synthesize(ser, 2 * DENSE_LIMIT)
+            with pytest.raises(DomainError, match="exceeds the limit"):
+                modulus(ser, ModulusRequest(k=1, t=0.5, p=3.0), 2 * DENSE_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestLpNorm:

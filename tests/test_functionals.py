@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+
+from scipy.special import zeta as hurwitz_zeta
 
 from trigsmooth import (
     CosineSeries,
@@ -10,10 +13,13 @@ from trigsmooth import (
     ModulusTable,
     TagError,
     TruncationWarning,
+    best_approx,
     dyadic_approx_form,
     integral_form,
     lacunary_coefficient_form,
     lacunary_geometric_series,
+    lacunary_log_power_profile,
+    lacunary_series,
     membership_of_values,
     membership_test,
     modulus_p2_exact,
@@ -323,3 +329,50 @@ class TestMonotoneDominance:
         big = CosineSeries(np.array([1.0, 0.9]))
         assert (series_form(big, PARAMS, 2, nu_max=64)
                 >= series_form(small, PARAMS, 2, nu_max=64) - 1e-12)
+
+
+class TestSixtyOneLevels:
+    """a_mu = 2^{-mu r} (mu+1)^{-(alpha+1/theta)} stored on the levels mu = 0..60, that is
+    on the frequencies 1..2**60: the sequence of lacunary_log_power_profile."""
+
+    R, ALPHA, LAM = 1.0, 0.5, 0.25
+
+    def series(self, theta):
+        mus = np.arange(61, dtype=float)
+        return lacunary_series(2.0 ** (-mus * self.R) * (mus + 1.0) ** (-(self.ALPHA + 1.0 / theta)))
+
+    @pytest.mark.parametrize("theta", [1.0, 2.0])
+    def test_coefficient_form_matches_the_closed_profile(self, theta):
+        params = validate_params(p=2.0, theta=theta, r=self.R, lam=self.LAM, k=2)
+        ser = self.series(theta)
+        ns = [1, 2, 5, 10, 20, 30, 40, 50, 59, 60]
+        prof = lacunary_log_power_profile(self.R, self.ALPHA, theta, self.LAM, ns)
+        # the profile sums the levels mu >= 61 too; each contributes (mu+1)^-(alpha theta + 1)
+        missing = float(hurwitz_zeta(self.ALPHA * theta + 1.0, 62))
+        for n, d in zip(prof.ns, prof.d_values):
+            want = (d ** theta - missing) ** (1.0 / theta)
+            got = lacunary_coefficient_form(ser, params, 2 ** int(n))
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_p2_forms_run_in_under_a_mebibyte(self):
+        params = validate_params(p=2.0, theta=1.0, r=self.R, lam=self.LAM, k=2)
+        tracemalloc.start()
+        try:
+            ser = self.series(1.0)
+            values = [modulus_p2_exact(ser, 2, 2.0 ** -j) for j in (0, 10, 40, 60)]
+            values += [best_approx(ser, 2 ** mu, 2.0).value for mu in (0, 30, 60, 61)]
+            values += [dyadic_approx_form(ser, params, n) for n in (0, 10, 40)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(values))
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_modulus_p2_exact_matches_mpmath(self, k):
+        # nu h reaches 2**60 * pi, so the float sine must reduce huge arguments exactly
+        ser = self.series(1.0)
+        freqs, amps = ser.support()
+        for t in (math.pi, 1.0, 1e-3, 2.0 ** -40):
+            want = oracles.mp_modulus_p2(freqs, amps, k, t, 33)
+            assert modulus_p2_exact(ser, k, t, 33) == pytest.approx(want, rel=1e-12)
