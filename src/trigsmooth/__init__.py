@@ -42,7 +42,6 @@ from .errors import (
     SmoothnessError,
     TagError,
     TruncationBudgetError,
-    TruncationWarning,
 )
 from .function_model import (
     ModulusRequest,

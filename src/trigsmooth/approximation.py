@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .core import ClassParams, CosineSeries, FunctionalCurve
+from .core import ClassParams, CosineSeries, FunctionalCurve, _check_levels
 from .errors import DivideByZeroError, DomainError, TagError
 from .function_model import auto_grid_size, lp_norm, synthesize
 
@@ -86,6 +86,7 @@ def dyadic_best_approx_curve(series: CosineSeries, max_level: int, p: float,
     """Curve (2**mu, E_{2**mu}(f)_p) for mu = 0..max_level."""
     if max_level < 1:
         raise DomainError("max_level must be >= 1")
+    _check_levels(max_level + 1)
     ns = 2 ** np.arange(max_level + 1, dtype=np.int64)
     values = [best_approx(series, int(n), p).value for n in ns]
     return FunctionalCurve(ns=ns, values=np.asarray(values), label="E_dyadic", params=params)

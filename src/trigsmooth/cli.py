@@ -33,7 +33,6 @@ import itertools
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -59,7 +58,6 @@ from .errors import (
     PreconditionError,
     SmoothnessError,
     TruncationBudgetError,
-    TruncationWarning,
 )
 from .function_model import DEFAULT_H_SAMPLES, ModulusRequest, auto_grid_size, modulus, modulus_p2_exact
 
@@ -414,34 +412,32 @@ def cmd_equivalence(cfg: dict, args) -> Report:
     max_fraction = 0.0
     rows = []
     series_vals, coeff_vals = [], []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationWarning)
-        for n in n_values:
-            i_val = functionals.integral_form(series, params, 1.0 / (n + 1),
-                                              quad_points=nu_max, table=table)
-            j_val = functionals.series_form(series, params, n, nu_max=nu_max, table=table)
-            if series.tag == "monotone":
-                c_val = functionals.monotone_coefficient_form(series, params, n)
-            elif series.tag == "lacunary":
-                c_val = functionals.lacunary_coefficient_form(series, params, n)
-            else:
-                c_val = None
-            if (n & (n - 1)) == 0:
-                level = n.bit_length() - 1
-                d_val = functionals.dyadic_approx_form(series, params, level)
-            else:
-                d_val = None
-            series_vals.append(j_val)
-            coeff_vals.append(c_val)
+    for n in n_values:
+        i_rec = functionals.integral_record(series, params, 1.0 / (n + 1),
+                                            quad_points=nu_max, table=table)
+        j_rec = functionals.series_record(series, params, n, nu_max=nu_max, table=table)
+        if series.tag == "monotone":
+            c_val = functionals.monotone_coefficient_form(series, params, n)
+        elif series.tag == "lacunary":
+            c_val = functionals.lacunary_coefficient_form(series, params, n)
+        else:
+            c_val = None
+        d_rec = None
+        if (n & (n - 1)) == 0:
+            d_rec = functionals.dyadic_record(series, params, n.bit_length() - 1)
+        # a non-finite coefficient form is a coefficient tail that does not converge
+        c_fraction = 0.0 if c_val is None or math.isfinite(c_val) else math.inf
+        max_fraction = max(max_fraction, i_rec.fraction, j_rec.fraction, c_fraction,
+                           d_rec.fraction if d_rec else 0.0)
+        series_vals.append(j_rec.value)
+        coeff_vals.append(c_val)
 
-            i_c, j_c, c_c, d_c = _finite(i_val), _finite(j_val), _finite(c_val), _finite(d_val)
-            rows.append([
-                n, i_c, j_c, c_c, d_c, phi_eval(phi, 1.0 / n),
-                _safe_div(j_c, i_c), _safe_div(c_c, j_c), _safe_div(c_c, d_c),
-            ])
-    for w in caught:
-        if isinstance(w.message, TruncationWarning):
-            max_fraction = max(max_fraction, w.message.fraction)
+        i_c, j_c, c_c = _finite(i_rec.value), _finite(j_rec.value), _finite(c_val)
+        d_c = _finite(d_rec.value) if d_rec else None
+        rows.append([
+            n, i_c, j_c, c_c, d_c, phi_eval(phi, 1.0 / n),
+            _safe_div(j_c, i_c), _safe_div(c_c, j_c), _safe_div(c_c, d_c),
+        ])
     if max_fraction > budget:
         raise TruncationBudgetError(
             f"truncation remainder fraction {max_fraction:.3g} exceeds budget {budget:g}")

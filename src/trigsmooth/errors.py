@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class SmoothnessError(Exception):
@@ -39,14 +39,3 @@ class ConfigNotFound(ConfigError):
 
 class TruncationBudgetError(SmoothnessError):
     """Estimated truncation remainder exceeds the configured budget.  CLI exit code 4."""
-
-
-class TruncationWarning(UserWarning):
-    """The extrapolated series remainder is a non-trivial fraction of the partial sum.
-
-    Instances carry a ``fraction`` attribute (remainder / partial sum, may be inf).
-    """
-
-    def __init__(self, message: str, fraction: float = 0.0):
-        super().__init__(message)
-        self.fraction = fraction

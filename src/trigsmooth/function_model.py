@@ -121,6 +121,7 @@ def difference(f: GridFunction, h: float, k: int, series: CosineSeries | None = 
         raise DomainError(f"difference order k must be a positive integer, got {k}")
     n = f.size
     if series is not None:
+        _check_grid(series, n)
         spec = _series_spectrum(series, n)
     else:
         spec = np.fft.rfft(f.samples)

@@ -12,15 +12,15 @@ All four forms sample the same object at scale 1/n:
   a_nu nu^{1-1/p};
 - coefficient form for lacunary series and the dyadic best-approximation form.
 
-Infinite sums are truncated with a fitted power-law remainder added back; when the
-remainder is a non-trivial fraction of the partial sum a TruncationWarning (carrying
-the fraction) is emitted rather than silently biasing the value.
+Infinite sums are truncated with a fitted power-law remainder added back. The
+record functions (integral_record, series_record, dyadic_record) return the value
+with the remainder's fraction of the tail's partial sum, so a caller can hold it
+to a budget; the float forms return the value alone.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .approximation import best_approx, power_sum_tail
 from .core import ClassParams, CosineSeries, FunctionalCurve, MajorantPhi
-from .errors import DomainError, TagError, TruncationWarning
+from .errors import DomainError, TagError
 from .function_model import (
     DEFAULT_H_SAMPLES,
     ModulusRequest,
@@ -41,8 +41,16 @@ from .function_model import (
 MIN_NU_MAX = 1024
 #: least-squares slope threshold of the boundedness verdict
 DEFAULT_SLOPE_TOL = 0.02
-#: remainder / partial-sum fraction above which a TruncationWarning is emitted
-TRUNCATION_WARN_FRACTION = 0.01
+
+
+@dataclass(frozen=True)
+class Truncated:
+    """A form truncated at a finite range: its value, and the extrapolated remainder
+    as a fraction of the tail's partial sum (0 with no remainder, inf when the tail
+    cannot be extrapolated convergently)."""
+
+    value: float
+    fraction: float
 
 
 class ModulusTable:
@@ -104,19 +112,10 @@ def _power_law_remainder(nus: np.ndarray, terms: np.ndarray) -> tuple[float, flo
     return float(scale * hurwitz_zeta(q, last_nu + 1.0)), q
 
 
-def _warn_truncation(remainder: float, partial: float, nu_max: int) -> None:
-    if remainder == 0.0:
-        return
-    if not math.isfinite(remainder):
-        warnings.warn(TruncationWarning(
-            f"tail beyond nu_max={nu_max} does not decay fast enough to extrapolate; "
-            "the truncated value diverges", fraction=math.inf))
-        return
-    if partial > 0 and remainder > TRUNCATION_WARN_FRACTION * partial:
-        frac = remainder / partial
-        warnings.warn(TruncationWarning(
-            f"extrapolated tail is {frac:.2%} of the partial sum (nu_max={nu_max})",
-            fraction=frac))
+def _truncated(partial: float, remainder: float, rest: float, th: float) -> Truncated:
+    """(partial + remainder + rest)^{1/th}; a nonzero remainder comes with partial > 0."""
+    total = partial + remainder + rest
+    return Truncated(float(total ** (1.0 / th)), remainder / partial if remainder else 0.0)
 
 
 def _delta_to_n(delta: float) -> int:
@@ -138,7 +137,7 @@ def _point_weights(nus: np.ndarray, a: float) -> np.ndarray:
 
 
 def _omega_form(series: CosineSeries, params: ClassParams, n: int, nu_max: int,
-                table: ModulusTable | None, weights, head_scale: float) -> float:
+                table: ModulusTable | None, weights, head_scale: float) -> Truncated:
     """(sum_{nu>n} w(1/nu)^th weights(nu, r*th) + remainder
     + head_scale * sum_{nu<=n} w(1/nu)^th weights(nu, (r+l)*th))^{1/th}.
 
@@ -153,18 +152,16 @@ def _omega_form(series: CosineSeries, params: ClassParams, n: int, nu_max: int,
     tail_terms = omega[n:] ** th * weights(nus_tail, r * th)
     partial = float(np.sum(tail_terms))
     remainder, _ = _power_law_remainder(nus_tail, tail_terms)
-    _warn_truncation(remainder, partial, nu_max)
 
     nus_head = np.arange(1, n + 1, dtype=float)
     head = float(np.sum(omega[:n] ** th * weights(nus_head, (r + lam) * th)))
-
-    total = partial + remainder + head_scale * head
-    return float(total ** (1.0 / th))
+    return _truncated(partial, remainder, head_scale * head, th)
 
 
-def integral_form(series: CosineSeries, params: ClassParams, delta: float,
-                  quad_points: int | None = None, table: ModulusTable | None = None) -> float:
-    """Integral form of the class functional at delta = 1/(n+1).
+def integral_record(series: CosineSeries, params: ClassParams, delta: float,
+                    quad_points: int | None = None,
+                    table: ModulusTable | None = None) -> Truncated:
+    """Integral form of the class functional at delta = 1/(n+1), with its truncation.
 
     Both integrals are evaluated on the harmonic partition with the modulus frozen
     at w(1/nu) per cell; the singular integral is truncated at quad_points cells
@@ -178,9 +175,15 @@ def integral_form(series: CosineSeries, params: ClassParams, delta: float,
                        delta ** (params.lam * params.theta))
 
 
-def series_form(series: CosineSeries, params: ClassParams, n: int,
-                nu_max: int | None = None, table: ModulusTable | None = None) -> float:
-    """Series form over moduli of the class functional at scale 1/n."""
+def integral_form(series: CosineSeries, params: ClassParams, delta: float,
+                  quad_points: int | None = None, table: ModulusTable | None = None) -> float:
+    """The value of integral_record."""
+    return integral_record(series, params, delta, quad_points, table).value
+
+
+def series_record(series: CosineSeries, params: ClassParams, n: int,
+                  nu_max: int | None = None, table: ModulusTable | None = None) -> Truncated:
+    """Series form over moduli of the class functional at scale 1/n, with its truncation."""
     if n < 1:
         raise DomainError("n must be >= 1")
     nu_max = nu_max if nu_max is not None else max(4 * n, MIN_NU_MAX)
@@ -188,6 +191,12 @@ def series_form(series: CosineSeries, params: ClassParams, n: int,
         raise DomainError(f"nu_max must be at least 4n = {4 * n}")
     return _omega_form(series, params, n, nu_max, table, _point_weights,
                        float(n) ** (-params.lam * params.theta))
+
+
+def series_form(series: CosineSeries, params: ClassParams, n: int,
+                nu_max: int | None = None, table: ModulusTable | None = None) -> float:
+    """The value of series_record."""
+    return series_record(series, params, n, nu_max, table).value
 
 
 def monotone_coefficient_form(series: CosineSeries, params: ClassParams, n: int) -> float:
@@ -216,10 +225,7 @@ def monotone_coefficient_form(series: CosineSeries, params: ClassParams, n: int)
         t = series.tail
         q = t.s * th - e_tail
         start = max(n + 1, series.n_stored + 1)
-        if q <= 1.0:
-            warnings.warn(TruncationWarning(
-                f"coefficient tail exponent {q} <= 1: the functional diverges",
-                fraction=math.inf))
+        if q <= 1.0:  # the functional diverges
             return math.inf
         tail += power_sum_tail(t.c ** th, q, start)
 
@@ -248,10 +254,10 @@ def lacunary_coefficient_form(series: CosineSeries, params: ClassParams, m: int)
     return float((tail + float(m) ** (-lam * th) * head) ** (1.0 / th))
 
 
-def dyadic_approx_form(series: CosineSeries, params: ClassParams, n: int,
-                       max_level: int | None = None,
-                       e_values: np.ndarray | None = None) -> float:
-    """Dyadic best-approximation form of the class functional at level n.
+def dyadic_record(series: CosineSeries, params: ClassParams, n: int,
+                  max_level: int | None = None) -> Truncated:
+    """Dyadic best-approximation form of the class functional at level n, with its
+    truncation.
 
     (sum_{mu>n} 2^{mu*r*th} E_{2^mu}^th
      + 2^{-n*l*th} sum_{mu<=n} 2^{mu*(r+l)*th} E_{2^mu}^th)^{1/th},
@@ -266,11 +272,7 @@ def dyadic_approx_form(series: CosineSeries, params: ClassParams, n: int,
         max_level = max(n + 8, spectrum_level + 1)
     if max_level <= n:
         raise DomainError("max_level must exceed the requested level n")
-    if e_values is None:
-        e_values = np.array([best_approx(series, 2 ** mu, p).value
-                             for mu in range(max_level + 1)])
-    elif e_values.size < max_level + 1:
-        raise DomainError("e_values must cover levels 0..max_level")
+    e_values = np.array([best_approx(series, 2 ** mu, p).value for mu in range(max_level + 1)])
 
     mus = np.arange(max_level + 1, dtype=float)
     tail_terms = 2.0 ** (mus[n + 1:] * r * th) * e_values[n + 1:] ** th
@@ -286,11 +288,15 @@ def dyadic_approx_form(series: CosineSeries, params: ClassParams, n: int,
             remainder = math.inf
         else:
             remainder = float(tail_terms[-1]) * rho / (1.0 - rho)
-    _warn_truncation(remainder, partial, 2 ** max_level)
 
     head = float(np.sum(2.0 ** (mus[: n + 1] * (r + lam) * th) * e_values[: n + 1] ** th))
-    total = partial + remainder + 2.0 ** (-n * lam * th) * head
-    return float(total ** (1.0 / th))
+    return _truncated(partial, remainder, 2.0 ** (-n * lam * th) * head, th)
+
+
+def dyadic_approx_form(series: CosineSeries, params: ClassParams, n: int,
+                       max_level: int | None = None) -> float:
+    """The value of dyadic_record."""
+    return dyadic_record(series, params, n, max_level).value
 
 
 VERDICT_BOUNDED = "bounded"
@@ -307,9 +313,7 @@ class MembershipReport:
     of the curve (bounded iff the slope does not exceed slope_tol).
     """
 
-    curve: FunctionalCurve | None
     phi: MajorantPhi
-    per_n_ratios: np.ndarray
     sup_ratio: float
     tail_slope: float
     verdict: str
@@ -331,8 +335,7 @@ def membership_test(curve: FunctionalCurve, phi: MajorantPhi,
     else:
         slope = 0.0
     verdict = VERDICT_BOUNDED if slope <= slope_tol else VERDICT_UNBOUNDED
-    return MembershipReport(curve=curve, phi=phi, per_n_ratios=ratios,
-                            sup_ratio=sup_ratio, tail_slope=slope, verdict=verdict)
+    return MembershipReport(phi=phi, sup_ratio=sup_ratio, tail_slope=slope, verdict=verdict)
 
 
 def membership_of_values(ns, values, phi: MajorantPhi, label: str = "",
@@ -342,13 +345,7 @@ def membership_of_values(ns, values, phi: MajorantPhi, label: str = "",
     values = np.asarray(values, dtype=float)
     ns = np.asarray(ns, dtype=np.int64)
     if not np.all(np.isfinite(values)):
-        finite = np.isfinite(values)
-        ratios = np.full(values.shape, math.inf)
-        if finite.any():
-            sub = FunctionalCurve(ns[finite], values[finite], label=label, params=params)
-            ratios[finite] = sub.ratio_against(phi)
-        return MembershipReport(curve=None, phi=phi, per_n_ratios=ratios,
-                                sup_ratio=math.inf, tail_slope=math.inf,
+        return MembershipReport(phi=phi, sup_ratio=math.inf, tail_slope=math.inf,
                                 verdict=VERDICT_DIVERGENT)
     curve = FunctionalCurve(ns, values, label=label, params=params)
     return membership_test(curve, phi, slope_tol=slope_tol)

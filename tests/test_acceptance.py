@@ -9,7 +9,6 @@ behaviour; the a-priori caps from the criteria are asserted alongside them.
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from trigsmooth import (
     MajorantPhi,
     ModulusRequest,
     ModulusTable,
-    TruncationWarning,
     best_approx,
     check_hardy_lower,
     check_hardy_upper,
@@ -77,11 +75,9 @@ def equivalence_fixtures():
     fixtures["bandlimited"] = random_bandlimited_series(np.random.default_rng(1234), 64)
     fixtures["lacunary"] = lacunary_geometric_series(0.5, 20)
     tables = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for name, ser in fixtures.items():
-            tables[name] = ModulusTable(ser, 1, 2.0)
-            tables[name].omega_upto(EQUIV_NU_MAX)
+    for name, ser in fixtures.items():
+        tables[name] = ModulusTable(ser, 1, 2.0)
+        tables[name].omega_upto(EQUIV_NU_MAX)
     return fixtures, tables
 
 
@@ -196,19 +192,17 @@ def test_c06_series_vs_integral_equivalence(equivalence_fixtures):
     t0 = time.time()
     fixtures, tables = equivalence_fixtures
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for name, ser in fixtures.items():
-            for theta in THETAS:
-                params = validate_params(p=2.0, theta=theta, r=0.5, lam=0.3, k=1)
-                table = tables[name]
-                ratios = []
-                for n in EQUIV_NS:
-                    j = series_form(ser, params, n, nu_max=EQUIV_NU_MAX, table=table)
-                    i = integral_form(ser, params, 1.0 / (n + 1),
-                                      quad_points=EQUIV_NU_MAX, table=table)
-                    ratios.append(j / i)
-                worst = max(worst, max(ratios) / min(ratios))
+    for name, ser in fixtures.items():
+        for theta in THETAS:
+            params = validate_params(p=2.0, theta=theta, r=0.5, lam=0.3, k=1)
+            table = tables[name]
+            ratios = []
+            for n in EQUIV_NS:
+                j = series_form(ser, params, n, nu_max=EQUIV_NU_MAX, table=table)
+                i = integral_form(ser, params, 1.0 / (n + 1),
+                                  quad_points=EQUIV_NU_MAX, table=table)
+                ratios.append(j / i)
+            worst = max(worst, max(ratios) / min(ratios))
     ok = worst <= 50.0 and worst <= FROZEN_C6_SPREAD
     report("C6 series/integral equivalence", ok,
            f"worst spread {worst:.4f} over {len(fixtures)} fixtures x {len(THETAS)} theta", t0)
@@ -221,19 +215,17 @@ def test_c07_coefficient_vs_series_equivalence(equivalence_fixtures):
     t0 = time.time()
     fixtures, tables = equivalence_fixtures
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        for s in (1.5, 2.0, 3.0):
-            name = f"power{s:g}"
-            ser = fixtures[name]
-            for theta in THETAS:
-                params = validate_params(p=2.0, theta=theta, r=0.5, lam=0.3, k=1)
-                ratios = []
-                for n in EQUIV_NS:
-                    c = monotone_coefficient_form(ser, params, n)
-                    j = series_form(ser, params, n, nu_max=EQUIV_NU_MAX, table=tables[name])
-                    ratios.append(c / j)
-                worst = max(worst, max(ratios) / min(ratios))
+    for s in (1.5, 2.0, 3.0):
+        name = f"power{s:g}"
+        ser = fixtures[name]
+        for theta in THETAS:
+            params = validate_params(p=2.0, theta=theta, r=0.5, lam=0.3, k=1)
+            ratios = []
+            for n in EQUIV_NS:
+                c = monotone_coefficient_form(ser, params, n)
+                j = series_form(ser, params, n, nu_max=EQUIV_NU_MAX, table=tables[name])
+                ratios.append(c / j)
+            worst = max(worst, max(ratios) / min(ratios))
     ok = worst <= 50.0 and worst <= FROZEN_C7_SPREAD
     report("C7 coefficient/series equivalence", ok, f"worst spread {worst:.4f}", t0)
     assert worst <= 50.0

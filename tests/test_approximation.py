@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from trigsmooth import (
     CosineSeries,
     DivideByZeroError,
+    DomainError,
     PowerLawTail,
     TagError,
     best_approx,
@@ -100,6 +101,12 @@ class TestDyadicCurve:
         ser = CosineSeries(rng.random(64))
         curve = dyadic_best_approx_curve(ser, 7, 2.0)
         assert all(a >= b - 1e-15 for a, b in zip(curve.values, curve.values[1:]))
+
+    def test_level_beyond_int64_names_the_level_limit(self):
+        ser = lacunary_series(np.full(10, 0.5))
+        with pytest.raises(DomainError, match="64 levels"):
+            dyadic_best_approx_curve(ser, 63, 2.0)
+        assert dyadic_best_approx_curve(ser, 62, 2.0).ns[-1] == 2 ** 62
 
 
 class TestModulusBracket:

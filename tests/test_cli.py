@@ -296,6 +296,41 @@ class TestEquivalenceCommand:
         cfg = BASE_CFG + "tolerances.truncation_budget = 1e-6\nsweep.n_values = 64,128,256\n"
         assert main(["equivalence", "--config", write_cfg(tmp_path, cfg)]) == 4
 
+    SMALL_BUDGET_CFG = BASE_CFG.replace("series.generator = power:2:256",
+                                        "series.coeffs = 1,0.5").replace(
+        "series.tag = monotone", "series.tag = general").replace(
+        "params.theta = 1", "params.theta = 2")
+
+    def test_budget_below_one_percent_is_enforced(self, tmp_path, capsys):
+        # the forms' fractions are 0.0025 to 0.0084 here: all within 1%, none within 1e-6
+        cfg = write_cfg(tmp_path, self.SMALL_BUDGET_CFG + "tolerances.truncation_budget = 1e-6\n")
+        assert main(["equivalence", "--config", cfg]) == 4
+        assert ("truncation remainder fraction 0.00838 exceeds budget 1e-06"
+                in capsys.readouterr().err)
+        cfg = write_cfg(tmp_path, self.SMALL_BUDGET_CFG + "tolerances.truncation_budget = 0.01\n")
+        assert main(["equivalence", "--config", cfg, "--out", str(tmp_path / "eq.csv")]) == 0
+
+    def test_max_nu_below_4n_exits_3(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        assert main(["equivalence", "--config", cfg, "--max-nu", "8"]) == 3
+        assert "quad_points must be at least 4n = 16" in capsys.readouterr().err
+
+    DIVERGENT_TAIL_CFG = BASE_CFG + "series.tail = power:1:0.75\n"
+
+    def test_divergent_coefficient_tail_exits_4(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, self.DIVERGENT_TAIL_CFG)
+        assert main(["equivalence", "--config", cfg]) == 4
+        assert "truncation remainder fraction inf exceeds budget 0.5" in capsys.readouterr().err
+
+    def test_divergent_verdict_needs_an_infinite_budget(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.DIVERGENT_TAIL_CFG + "tolerances.truncation_budget = inf\n")
+        out = tmp_path / "eq.csv"
+        assert main(["equivalence", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        text = out.read_text()
+        assert "# membership coeff_form vs power(0.4): verdict=divergent" in text
+        rows = [l.split(",") for l in text.splitlines()[1:] if not l.startswith("#")]
+        assert all(row[3] == "" for row in rows)
+
     def test_membership_summary_lines_present(self, tmp_path):
         out = tmp_path / "eq.csv"
         assert main(["equivalence", "--config", write_cfg(tmp_path, BASE_CFG),

@@ -131,6 +131,11 @@ class TestDifference:
         fft_only = difference(g, 0.7, 2)
         np.testing.assert_allclose(fft_only.samples, with_series.samples, atol=1e-12)
 
+    def test_series_too_wide_for_the_grid_is_an_alias_error(self):
+        g = synthesize(CosineSeries(np.ones(3)), 8)
+        with pytest.raises(AliasError):
+            difference(g, 0.3, 1, series=CosineSeries(np.ones(10)))
+
 
 class TestModulus:
     def test_zero_step_bound(self):

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.special import zeta as hurwitz_zeta
 
@@ -11,8 +12,8 @@ from trigsmooth import (
     CosineSeries,
     MajorantPhi,
     ModulusTable,
+    PowerLawTail,
     TagError,
-    TruncationWarning,
     best_approx,
     dyadic_approx_form,
     integral_form,
@@ -29,6 +30,7 @@ from trigsmooth import (
     validate_params,
 )
 from trigsmooth.core import FunctionalCurve
+from trigsmooth.functionals import dyadic_record, integral_record, series_record
 
 import oracles
 
@@ -36,23 +38,11 @@ PARAMS = validate_params(p=2.0, theta=1.0, r=0.5, lam=0.3, k=1)
 PARAMS_T2 = validate_params(p=2.0, theta=2.0, r=0.5, lam=0.3, k=1)
 
 
-def run_quiet(fn, *args, **kwargs):
-    """Evaluate, skipping the test if a truncation warning fires (per policy:
-    equivalence-style checks skip rather than fail on heavy truncation)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationWarning)
-        value = fn(*args, **kwargs)
-    if any(isinstance(w.message, TruncationWarning) for w in caught):
-        pytest.skip("truncation remainder too large for an exact comparison")
-    return value
-
-
 class TestIntegralForm:
     def test_zero_series(self):
         ser = CosineSeries(np.zeros(8))
         assert integral_form(ser, PARAMS, 1.0 / 5.0) == 0.0
 
-    @pytest.mark.filterwarnings("ignore::trigsmooth.errors.TruncationWarning")
     def test_theta_homogeneity(self):
         ser = CosineSeries(np.array([1.0, 0.3]))
         scaled = CosineSeries(2.5 * ser.coeffs)
@@ -65,7 +55,6 @@ class TestIntegralForm:
         with pytest.raises(DomainError):
             integral_form(CosineSeries(np.ones(2)), PARAMS, 0.3)
 
-    @pytest.mark.filterwarnings("ignore::trigsmooth.errors.TruncationWarning")
     def test_cell_frozen_value_against_refined_quadrature(self):
         # single-cosine fixture at delta = 1/9; the refinement splits every
         # harmonic cell into 10 sub-cells with the modulus frozen per sub-cell.
@@ -105,7 +94,6 @@ class TestSeriesForm:
     def test_zero_series(self):
         assert series_form(CosineSeries(np.zeros(8)), PARAMS, 4) == 0.0
 
-    @pytest.mark.filterwarnings("ignore::trigsmooth.errors.TruncationWarning")
     def test_head_bookkeeping_at_n_equal_one(self):
         # at n = 1 the head is the single term omega(1)^theta with no n^{-lam*theta}
         # attenuation, so the value cannot depend on lambda (the tail never does)
@@ -127,7 +115,6 @@ class TestSeriesForm:
         assert head >= table.omega_at(1) ** PARAMS.theta - 1e-12
         assert head == pytest.approx(table.omega_at(1) ** PARAMS.theta, rel=0.25)
 
-    @pytest.mark.filterwarnings("ignore::trigsmooth.errors.TruncationWarning")
     def test_theta_homogeneity(self):
         ser = CosineSeries(np.array([0.5, 0.25, 0.125]))
         scaled = CosineSeries(4.0 * ser.coeffs)
@@ -135,7 +122,6 @@ class TestSeriesForm:
         b = series_form(scaled, PARAMS_T2, 2, nu_max=256)
         assert b == pytest.approx(4.0 * a, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore::trigsmooth.errors.TruncationWarning")
     def test_grid_omega_path_for_other_exponents(self):
         params = validate_params(p=3.0, theta=1.0, r=0.5, lam=0.3, k=1)
         ser = CosineSeries(np.array([1.0, 0.5, 0.25]))
@@ -145,15 +131,14 @@ class TestSeriesForm:
         assert math.isfinite(value) and value > 0.0
 
     def test_matches_integral_form_within_constant(self):
-        # theta = 2 decays fast enough that the truncation stays below the
-        # warning threshold and the comparison actually runs
+        # theta = 2 decays fast enough that the extrapolated remainder stays
+        # below 1% of the tail, so the comparison is not dominated by it
         ser = power_law_series(2.0, 256)
         table = ModulusTable(ser, PARAMS_T2.k, PARAMS_T2.p)
         ratios = []
         for n in (2, 4):
-            j = run_quiet(series_form, ser, PARAMS_T2, n, nu_max=768, table=table)
-            i = run_quiet(integral_form, ser, PARAMS_T2, 1.0 / (n + 1),
-                          quad_points=768, table=table)
+            j = series_form(ser, PARAMS_T2, n, nu_max=768, table=table)
+            i = integral_form(ser, PARAMS_T2, 1.0 / (n + 1), quad_points=768, table=table)
             ratios.append(j / i)
         assert max(ratios) / min(ratios) < 1.3
         assert all(0.5 < r < 2.0 for r in ratios)
@@ -274,6 +259,51 @@ class TestDyadicApproxForm:
             assert got == pytest.approx(want, rel=1e-9)
 
 
+class TestTruncationRecords:
+    @settings(max_examples=20, deadline=None)
+    @given(coeffs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+           c=st.floats(0.125, 8.0), theta=st.sampled_from([0.5, 1.0, 2.0]),
+           n=st.sampled_from([2, 4]))
+    def test_forms_scale_by_c_and_fractions_do_not_move(self, coeffs, c, theta, n):
+        base = np.array(sorted(coeffs, reverse=True))
+        # a power-law tail below the last stored coefficient keeps every E_{2^mu} > 0,
+        # so the dyadic record extrapolates a nonzero remainder
+        tail_c = base[-1] * base.size ** 2
+        params = validate_params(p=2.0, theta=theta, r=0.5, lam=0.3, k=1)
+        sers = [CosineSeries(a * base, tag="monotone", tail=PowerLawTail(c=a * tail_c, s=2.0))
+                for a in (1.0, c)]
+        tables = [ModulusTable(ser, params.k, params.p) for ser in sers]
+        recs = [[integral_record(ser, params, 1.0 / (n + 1), quad_points=64, table=table),
+                 series_record(ser, params, n, nu_max=64, table=table),
+                 dyadic_record(ser, params, n.bit_length() - 1)]
+                for ser, table in zip(sers, tables)]
+        assert recs[1][2].fraction > 0.0
+        for plain, scaled in zip(*recs):
+            assert scaled.value == pytest.approx(c * plain.value, rel=1e-9)
+            assert scaled.fraction == pytest.approx(plain.fraction, rel=1e-9)
+        assert (monotone_coefficient_form(sers[1], params, n)
+                == pytest.approx(c * monotone_coefficient_form(sers[0], params, n), rel=1e-12))
+
+    def test_float_forms_return_the_record_value(self):
+        ser = CosineSeries(np.array([1.0, 0.5]))
+        table = ModulusTable(ser, PARAMS_T2.k, PARAMS_T2.p)
+        rec = series_record(ser, PARAMS_T2, 4, nu_max=64, table=table)
+        assert rec.fraction > 0.0
+        assert series_form(ser, PARAMS_T2, 4, nu_max=64, table=table) == rec.value
+        assert (integral_form(ser, PARAMS_T2, 0.2, quad_points=64, table=table)
+                == integral_record(ser, PARAMS_T2, 0.2, quad_points=64, table=table).value)
+        assert dyadic_approx_form(ser, PARAMS_T2, 2) == dyadic_record(ser, PARAMS_T2, 2).value
+
+    def test_finite_rank_tail_has_fraction_zero(self):
+        rec = dyadic_record(CosineSeries(np.array([1.0])), PARAMS, 1)
+        assert rec.fraction == 0.0 and rec.value > 0.0
+
+    def test_divergent_coefficient_tail_is_inf_without_a_warning(self):
+        ser = CosineSeries(power_law_series(2.0, 256).coeffs, tag="monotone",
+                           tail=PowerLawTail(c=1.0, s=0.75))
+        assert monotone_coefficient_form(ser, PARAMS, 4) == math.inf
+
+
 class TestMembership:
     def test_zero_curve_is_bounded(self):
         curve = FunctionalCurve(np.array([2, 4, 8]), np.zeros(3))
@@ -309,7 +339,6 @@ class TestMembership:
 
 
 class TestMonotoneDominance:
-    @pytest.mark.filterwarnings("ignore::trigsmooth.errors.TruncationWarning")
     def test_enlarging_a_coefficient_cannot_decrease_any_functional(self):
         rng = np.random.default_rng(31)
         base = np.sort(rng.random(32))[::-1].copy()
