@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .core import ClassParams, CosineSeries, FunctionalCurve, _check_levels
+from .core import CosineSeries, FunctionalCurve, _check_levels
 from .errors import DivideByZeroError, DomainError, TagError
 from .function_model import auto_grid_size, lp_norm, synthesize
 
@@ -26,7 +26,6 @@ PARTIAL_SUM = "partial_sum_surrogate"
 
 @dataclass(frozen=True)
 class ApproxResult:
-    n: int
     value: float
     kind: str
 
@@ -60,8 +59,7 @@ def l2_tail_sq(series: CosineSeries, start: int) -> float:
     return stored + power_sum_tail(t.c ** 2, 2.0 * t.s, max(start, series.n_stored + 1))
 
 
-def best_approx(series: CosineSeries, n: int, p: float,
-                grid_n: int | None = None) -> ApproxResult:
+def best_approx(series: CosineSeries, n: int, p: float) -> ApproxResult:
     """E_n(f)_p: exact Parseval value at p = 2, partial-sum surrogate otherwise.
 
     The surrogate synthesises the stored residual f - S_{n-1} f and takes its
@@ -72,24 +70,22 @@ def best_approx(series: CosineSeries, n: int, p: float,
     if not (1.0 < p < math.inf):
         raise DomainError(f"exponent p must lie in (1, inf), got {p}")
     if p == 2.0:
-        return ApproxResult(n=n, value=math.sqrt(math.pi * l2_tail_sq(series, n)), kind=EXACT_P2)
+        return ApproxResult(value=math.sqrt(math.pi * l2_tail_sq(series, n)), kind=EXACT_P2)
     freqs, amps = series.support()
     keep = freqs >= n
     resid_series = CosineSeries.from_support(freqs[keep], amps[keep], series.n_stored)
-    gn = grid_n if grid_n is not None else auto_grid_size(resid_series)
-    value = lp_norm(synthesize(resid_series, gn), p)
-    return ApproxResult(n=n, value=value, kind=PARTIAL_SUM)
+    value = lp_norm(synthesize(resid_series, auto_grid_size(resid_series)), p)
+    return ApproxResult(value=value, kind=PARTIAL_SUM)
 
 
-def dyadic_best_approx_curve(series: CosineSeries, max_level: int, p: float,
-                             params: ClassParams | None = None) -> FunctionalCurve:
+def dyadic_best_approx_curve(series: CosineSeries, max_level: int, p: float) -> FunctionalCurve:
     """Curve (2**mu, E_{2**mu}(f)_p) for mu = 0..max_level."""
     if max_level < 1:
         raise DomainError("max_level must be >= 1")
     _check_levels(max_level + 1)
     ns = 2 ** np.arange(max_level + 1, dtype=np.int64)
     values = [best_approx(series, int(n), p).value for n in ns]
-    return FunctionalCurve(ns=ns, values=np.asarray(values), label="E_dyadic", params=params)
+    return FunctionalCurve(ns=ns, values=np.asarray(values))
 
 
 @dataclass(frozen=True)
@@ -138,13 +134,10 @@ def modulus_bounds_monotone(series: CosineSeries, n: int, k: int, p: float) -> M
 
 @dataclass(frozen=True)
 class NormEquivalenceReport:
-    l2_value: float
-    lp_value: float
     ratio: float
 
 
-def zygmund_norm_bounds(series: CosineSeries, p: float,
-                        grid_n: int | None = None) -> NormEquivalenceReport:
+def zygmund_norm_bounds(series: CosineSeries, p: float) -> NormEquivalenceReport:
     """Quadrature ||f||_p against the coefficient l2 norm of a lacunary series.
 
     At p = 2 the ratio equals sqrt(pi) exactly under the unnormalised norm;
@@ -158,9 +151,8 @@ def zygmund_norm_bounds(series: CosineSeries, p: float,
     if p == 2.0:
         lp = math.sqrt(math.pi) * l2
     else:
-        gn = grid_n if grid_n is not None else auto_grid_size(series)
-        lp = lp_norm(synthesize(series, gn), p)
-    return NormEquivalenceReport(l2_value=l2, lp_value=lp, ratio=lp / l2)
+        lp = lp_norm(synthesize(series, auto_grid_size(series)), p)
+    return NormEquivalenceReport(ratio=lp / l2)
 
 
 @dataclass(frozen=True)

@@ -399,7 +399,11 @@ def cmd_equivalence(cfg: dict, args) -> Report:
     if not n_values or n_values[0] < 2:
         raise ConfigError("equivalence sweep needs n values >= 2 (phi is evaluated at 1/n)")
     slope_tol = setting(cfg, "tolerances.slope_tol")
+    if math.isnan(slope_tol):
+        raise ConfigError("tolerances.slope_tol must not be NaN")
     budget = setting(cfg, "tolerances.truncation_budget")
+    if not budget >= 0:  # NaN fails too
+        raise ConfigError(f"tolerances.truncation_budget must be >= 0 or inf, got {budget}")
     h_samples = setting(cfg, "sweep.h_samples")
     _modulus_requests(params, [0.0], h_samples)  # modulus's check of h_samples
     nu_max = args.max_nu if args.max_nu else max(4 * max(n_values), functionals.MIN_NU_MAX)
@@ -443,12 +447,10 @@ def cmd_equivalence(cfg: dict, args) -> Report:
             f"truncation remainder fraction {max_fraction:.3g} exceeds budget {budget:g}")
 
     comments = [f"omega_path={table.path} nu_max={nu_max}"]
-    mem = functionals.membership_of_values(n_values, series_vals, phi,
-                                           label="series_form", slope_tol=slope_tol)
+    mem = functionals.membership_of_values(n_values, series_vals, phi, slope_tol=slope_tol)
     comments.append(_membership_comment("series_form", mem))
     if all(c is not None for c in coeff_vals):
-        mem_c = functionals.membership_of_values(n_values, coeff_vals, phi,
-                                                 label="coeff_form", slope_tol=slope_tol)
+        mem_c = functionals.membership_of_values(n_values, coeff_vals, phi, slope_tol=slope_tol)
         comments.append(_membership_comment("coeff_form", mem_c))
     columns = ["n", "integral_form", "series_form", "coeff_form", "dyadic_e_form",
                "phi", "ratio_series_integral", "ratio_coeff_series", "ratio_coeff_dyadic"]
@@ -461,6 +463,8 @@ def cmd_example(cfg: dict, args) -> Report:
     profile = functionals.lacunary_log_power_profile(r, alpha, theta, lam,
                                                      range(1, max_n + 1))
     slope_tol = setting(cfg, "tolerances.slope_tol")
+    if math.isnan(slope_tol):
+        raise ConfigError("tolerances.slope_tol must not be NaN")
     rows = [[int(n), t1, t2, int(m), d]
             for n, t1, t2, m, d in zip(profile.ns, profile.t1, profile.t2,
                                        profile.d_ms, profile.d_values)]
@@ -468,7 +472,7 @@ def cmd_example(cfg: dict, args) -> Report:
     for phi in (MajorantPhi.inv_log(alpha), MajorantPhi.constant(),
                 MajorantPhi.power(0.1), MajorantPhi.power(0.25)):
         mem = functionals.membership_of_values(profile.d_ms, profile.d_values, phi,
-                                               label="coeff_form", slope_tol=slope_tol)
+                                               slope_tol=slope_tol)
         comments.append(_membership_comment("coeff_form", mem))
     return Report(columns=["n", "t1", "t2", "d_m", "d_value"], rows=rows, comments=comments)
 

@@ -164,11 +164,11 @@ class CosineSeries:
                                          tag=self.tag, tail=tail)
 
 
-def power_law_series(s: float, n_terms: int, c: float = 1.0, with_tail: bool = True) -> CosineSeries:
-    """Monotone series a_nu = c * nu**(-s), stored to n_terms, optionally with analytic tail."""
+def power_law_series(s: float, n_terms: int, with_tail: bool = True) -> CosineSeries:
+    """Monotone series a_nu = nu**(-s), stored to n_terms, optionally with analytic tail."""
     nus = np.arange(1, n_terms + 1, dtype=float)
-    tail = PowerLawTail(c, s) if with_tail else None
-    return CosineSeries(c * nus ** (-s), tag="monotone", tail=tail)
+    tail = PowerLawTail(1.0, s) if with_tail else None
+    return CosineSeries(nus ** (-s), tag="monotone", tail=tail)
 
 
 def _check_levels(levels: int) -> None:
@@ -202,7 +202,8 @@ def random_bandlimited_series(rng: np.random.Generator, max_freq: int = 64) -> C
 
 @dataclass(frozen=True)
 class ClassParams:
-    """Smoothness-class parameters (p, theta, r, lambda, k) with k > r + lambda."""
+    """Smoothness-class parameters (p, theta, r, lambda, k) with k > r + lambda,
+    checked on construction and stored as four floats and an int k."""
 
     p: float
     theta: float
@@ -211,28 +212,27 @@ class ClassParams:
     k: int
 
     def __post_init__(self):
-        validate_params(self.p, self.theta, self.r, self.lam, self.k, _construct=False)
+        p, theta, r, lam, k = self.p, self.theta, self.r, self.lam, self.k
+        if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)):
+            raise ConstraintViolation(f"k must be an integer, got {k!r}")
+        for name, val in (("p", p), ("theta", theta), ("r", r), ("lambda", lam)):
+            if not (isinstance(val, (int, float, np.floating, np.integer)) and math.isfinite(val)):
+                raise ConstraintViolation(f"{name} must be a finite real, got {val!r}")
+        if not (1.0 < p < math.inf):
+            raise ConstraintViolation(f"p must lie in (1, inf), got {p}")
+        if theta <= 0 or r <= 0 or lam <= 0:
+            raise ConstraintViolation("theta, r and lambda must be positive")
+        if k < 1:
+            raise ConstraintViolation(f"k must be a positive integer, got {k}")
+        if not (k > r + lam):
+            raise ConstraintViolation(f"need k > r + lambda, got k={k} <= {r + lam}")
+        for name, val in zip(("p", "theta", "r", "lam", "k"), (p, theta, r, lam, k)):
+            object.__setattr__(self, name, int(val) if name == "k" else float(val))
 
 
-def validate_params(p: float, theta: float, r: float, lam: float, k: int,
-                    _construct: bool = True) -> ClassParams | None:
+def validate_params(p: float, theta: float, r: float, lam: float, k: int) -> ClassParams:
     """Check the class-parameter constraints; return a ClassParams on success."""
-    if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)):
-        raise ConstraintViolation(f"k must be an integer, got {k!r}")
-    for name, val in (("p", p), ("theta", theta), ("r", r), ("lambda", lam)):
-        if not (isinstance(val, (int, float, np.floating, np.integer)) and math.isfinite(val)):
-            raise ConstraintViolation(f"{name} must be a finite real, got {val!r}")
-    if not (1.0 < p < math.inf):
-        raise ConstraintViolation(f"p must lie in (1, inf), got {p}")
-    if theta <= 0 or r <= 0 or lam <= 0:
-        raise ConstraintViolation("theta, r and lambda must be positive")
-    if k < 1:
-        raise ConstraintViolation(f"k must be a positive integer, got {k}")
-    if not (k > r + lam):
-        raise ConstraintViolation(f"need k > r + lambda, got k={k} <= {r + lam}")
-    if _construct:
-        return ClassParams(float(p), float(theta), float(r), float(lam), int(k))
-    return None
+    return ClassParams(p, theta, r, lam, k)
 
 
 _INV_E = 1.0 / math.e
@@ -325,16 +325,16 @@ class PhiCheckReport:
     passed: bool
 
 
-def phi_property_check(phi: MajorantPhi, grid_size: int = 256,
-                       delta_min: float = 1e-8, delta_max: float = 0.999) -> PhiCheckReport:
+def phi_property_check(phi: MajorantPhi, grid_size: int = 256) -> PhiCheckReport:
     """Smallest empirical quasi-monotonicity (C1) and doubling (C2) constants on a grid.
 
     C1 is the largest phi(d1)/phi(d2) over grid pairs d1 <= d2; C2 the largest
     phi(2 d)/phi(d) over grid points d <= 1/2.  Both are computed on a geometric
-    delta-grid of the requested size.
+    delta-grid of the requested size over [1e-8, 0.999], cut to a table's range.
     """
     if grid_size < 16:
         raise DomainError("grid_size must be at least 16")
+    delta_min, delta_max = 1e-8, 0.999
     if phi.kind == "tabulated":
         deltas_tab = phi.table[0]
         delta_min = max(delta_min, float(deltas_tab[0]))
@@ -381,10 +381,6 @@ class GridFunction:
     def size(self) -> int:
         return int(self.samples.size)
 
-    def x(self) -> np.ndarray:
-        n = self.samples.size
-        return 2.0 * math.pi * np.arange(n) / n
-
 
 @dataclass(frozen=True)
 class FunctionalCurve:
@@ -392,8 +388,6 @@ class FunctionalCurve:
 
     ns: np.ndarray
     values: np.ndarray
-    label: str = ""
-    params: ClassParams | None = None
 
     def __post_init__(self):
         ns = np.array(self.ns, dtype=np.int64, copy=True)

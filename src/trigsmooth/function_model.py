@@ -237,6 +237,8 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         raise DomainError(f"difference order k must be a positive integer, got {k}")
     if not (0.0 <= t <= math.pi):
         raise DomainError(f"step bound t must lie in [0, pi], got {t}")
+    if h_samples < 16:
+        raise DomainError("h_samples must be at least 16")
     if t == 0.0:
         return 0.0
     freqs, amps = series.support()

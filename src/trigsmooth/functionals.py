@@ -61,13 +61,13 @@ class ModulusTable:
     """
 
     def __init__(self, series: CosineSeries, k: int, p: float,
-                 h_samples: int = DEFAULT_H_SAMPLES, grid_n: int | None = None):
+                 h_samples: int = DEFAULT_H_SAMPLES):
         self.series = series
         self.k = int(k)
         self.p = float(p)
         self.h_samples = int(h_samples)
         self.path = "p2_exact" if p == 2.0 else "grid"
-        self._grid_n = grid_n if grid_n is not None else auto_grid_size(series)
+        self._grid_n = auto_grid_size(series)
         self._cache: dict[int, float] = {}
 
     def omega_at(self, nu: int) -> float:
@@ -338,8 +338,7 @@ def membership_test(curve: FunctionalCurve, phi: MajorantPhi,
     return MembershipReport(phi=phi, sup_ratio=sup_ratio, tail_slope=slope, verdict=verdict)
 
 
-def membership_of_values(ns, values, phi: MajorantPhi, label: str = "",
-                         params: ClassParams | None = None,
+def membership_of_values(ns, values, phi: MajorantPhi,
                          slope_tol: float = DEFAULT_SLOPE_TOL) -> MembershipReport:
     """Membership test tolerating divergent (non-finite) functional values."""
     values = np.asarray(values, dtype=float)
@@ -347,8 +346,7 @@ def membership_of_values(ns, values, phi: MajorantPhi, label: str = "",
     if not np.all(np.isfinite(values)):
         return MembershipReport(phi=phi, sup_ratio=math.inf, tail_slope=math.inf,
                                 verdict=VERDICT_DIVERGENT)
-    curve = FunctionalCurve(ns, values, label=label, params=params)
-    return membership_test(curve, phi, slope_tol=slope_tol)
+    return membership_test(FunctionalCurve(ns, values), phi, slope_tol=slope_tol)
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,6 @@ class IneqCase:
 
 @dataclass(frozen=True)
 class IneqVerdict:
-    lemma_id: str
-    variant: str
     lhs: float
     rhs: float
     ratio: float
@@ -69,9 +67,9 @@ def _ratio(lhs: float, rhs: float) -> float:
     return 0.0 if lhs == 0.0 else math.inf
 
 
-def _verdict(lemma_id, variant, lhs, rhs, direction, clause=""):
-    return IneqVerdict(lemma_id=lemma_id, variant=variant, lhs=lhs, rhs=rhs,
-                       ratio=_ratio(lhs, rhs), direction=direction, clause=clause)
+def _verdict(lhs, rhs, direction, clause=""):
+    return IneqVerdict(lhs=lhs, rhs=rhs, ratio=_ratio(lhs, rhs), direction=direction,
+                       clause=clause)
 
 
 def _weighted(seq: np.ndarray, lam_exp: float, lo: int, n: int) -> np.ndarray:
@@ -111,7 +109,7 @@ def check_jensen(seq, alpha: float, beta: float) -> IneqVerdict:
         raise DomainError("sequence terms must be finite and non-negative")
     lhs = math.fsum((seq ** beta).tolist()) ** (1.0 / beta)
     rhs = math.fsum((seq ** alpha).tolist()) ** (1.0 / alpha)
-    return _verdict("jensen", "", lhs, rhs, DIRECTION_UPPER)
+    return _verdict(lhs, rhs, DIRECTION_UPPER)
 
 
 def _require_variant(variant: str) -> None:
@@ -129,8 +127,7 @@ def _inner_and_weight(case: IneqCase, variant: str, lo: int) -> tuple[np.ndarray
     return _prefix_sums(case.seq, case.lam_exp, lo, case.n), -case.alpha - 1.0
 
 
-def _check_hardy(case: IneqCase, variant: str, lemma_id: str, direction: str,
-                 clause: str) -> IneqVerdict:
+def _check_hardy(case: IneqCase, variant: str, direction: str, clause: str) -> IneqVerdict:
     _require_variant(variant)
     if not case.m < case.n:
         raise DomainError("need m < n")
@@ -138,7 +135,7 @@ def _check_hardy(case: IneqCase, variant: str, lemma_id: str, direction: str,
     inner, w = _inner_and_weight(case, variant, case.m)
     lhs = _outer(mus, w, inner, case.p)
     rhs = _reference(case, mus, w)
-    return _verdict(lemma_id, variant, lhs, rhs, direction, clause=clause)
+    return _verdict(lhs, rhs, direction, clause=clause)
 
 
 def check_hardy_upper(case: IneqCase, variant: str = "tail") -> IneqVerdict:
@@ -149,14 +146,14 @@ def check_hardy_upper(case: IneqCase, variant: str = "tail") -> IneqVerdict:
     """
     if case.p < 1.0:
         raise DomainError(f"upper Hardy bound needs p >= 1, got {case.p}")
-    return _check_hardy(case, variant, "hardy_upper", DIRECTION_UPPER, "p>=1")
+    return _check_hardy(case, variant, DIRECTION_UPPER, "p>=1")
 
 
 def check_hardy_lower(case: IneqCase, variant: str = "tail") -> IneqVerdict:
     """Hardy-type lower bound, 0 < p <= 1: the same sums with the inequality reversed."""
     if not (0.0 < case.p <= 1.0):
         raise DomainError(f"lower Hardy bound needs 0 < p <= 1, got {case.p}")
-    return _check_hardy(case, variant, "hardy_lower", DIRECTION_LOWER, "0<p<=1")
+    return _check_hardy(case, variant, DIRECTION_LOWER, "0<p<=1")
 
 
 def _require_monotone(seq: np.ndarray) -> None:
@@ -187,7 +184,7 @@ def check_reverse_copson(case: IneqCase, variant: str = "tail",
         mus_ref = np.arange((8 if is_tail else 4) * case.m, case.n + 1, dtype=float)
         rhs = _reference(case, mus_ref, w)
         clause = "p>=1 n>=16m ref-from-8m" if is_tail else "p>=1 n>=16m ref-from-4m"
-        return _verdict("reverse_copson", variant, lhs, rhs, DIRECTION_LOWER, clause=clause)
+        return _verdict(lhs, rhs, DIRECTION_LOWER, clause=clause)
 
     if case.n < 4 * case.m:
         raise PreconditionError(f"0 < p <= 1 clause needs n >= 4m, got n={case.n}, m={case.m}")
@@ -196,7 +193,7 @@ def check_reverse_copson(case: IneqCase, variant: str = "tail",
     lhs = _outer(mus_shift, w, inner, case.p)
     rhs = _reference(case, mus_full, w)
     clause = "0<p<=1 n>=4m lhs-from-4m" if is_tail else "0<p<=1 n>=4m sums-from-4m"
-    return _verdict("reverse_copson", variant, lhs, rhs, DIRECTION_UPPER, clause=clause)
+    return _verdict(lhs, rhs, DIRECTION_UPPER, clause=clause)
 
 
 def check_two_sided_asymp(case: IneqCase, variant: str = "tail") -> tuple[IneqVerdict, IneqVerdict]:
@@ -211,8 +208,8 @@ def check_two_sided_asymp(case: IneqCase, variant: str = "tail") -> tuple[IneqVe
     inner, w = _inner_and_weight(case, variant, 1)
     middle = _outer(mus, w, inner, case.p)
     ref = _reference(replace(case, m=1), mus, w)
-    lower = _verdict("two_sided_asymp", variant, middle, ref, DIRECTION_LOWER)
-    upper = _verdict("two_sided_asymp", variant, middle, ref, DIRECTION_UPPER)
+    lower = _verdict(middle, ref, DIRECTION_LOWER)
+    upper = _verdict(middle, ref, DIRECTION_UPPER)
     return lower, upper
 
 

@@ -322,6 +322,24 @@ class TestEquivalenceCommand:
         assert main(["equivalence", "--config", cfg]) == 4
         assert "truncation remainder fraction inf exceeds budget 0.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_budget_must_be_non_negative(self, tmp_path, capsys, budget):
+        # a NaN budget would switch the gate off, a negative one trip it on every run
+        cfg = write_cfg(tmp_path, self.DIVERGENT_TAIL_CFG
+                        + f"tolerances.truncation_budget = {budget}\n")
+        assert main(["equivalence", "--config", cfg]) == 2
+        assert "tolerances.truncation_budget must be >= 0 or inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["equivalence", "example"])
+    def test_nan_slope_tol_exits_2(self, tmp_path, capsys, command):
+        # with phi constant, series_form reads bounded at the default tolerance, but a
+        # NaN tolerance would read every slope as unbounded-trend
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("phi.kind = power", "phi.kind = constant")
+                        + "tolerances.slope_tol = nan\n")
+        extra = ["--max-n", "8"] if command == "example" else []
+        assert main([command, "--config", cfg, *extra]) == 2
+        assert "tolerances.slope_tol must not be NaN" in capsys.readouterr().err
+
     def test_divergent_verdict_needs_an_infinite_budget(self, tmp_path):
         cfg = write_cfg(tmp_path, self.DIVERGENT_TAIL_CFG + "tolerances.truncation_budget = inf\n")
         out = tmp_path / "eq.csv"

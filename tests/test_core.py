@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trigsmooth import (
+    ClassParams,
     ConstraintViolation,
     CosineSeries,
     DomainError,
@@ -60,6 +61,30 @@ class TestValidateParams:
         else:
             with pytest.raises(ConstraintViolation):
                 validate_params(p=p, theta=theta, r=r, lam=lam, k=k)
+
+
+class TestClassParamsConstruction:
+    """ClassParams checks its own fields: constructing it directly is validate_params."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("k", True), ("k", 1), ("p", 1.0), ("theta", math.nan),
+    ])
+    def test_direct_construction_raises_as_validate_params(self, field, value):
+        # base k = 2 > r + lambda = 1.5; k = 1 breaks k > r + lambda
+        kwargs = dict(p=2.0, theta=1.0, r=0.75, lam=0.75, k=2)
+        kwargs[field] = value
+        with pytest.raises(ConstraintViolation) as direct:
+            ClassParams(**kwargs)
+        with pytest.raises(ConstraintViolation) as checked:
+            validate_params(**kwargs)
+        assert str(direct.value) == str(checked.value)
+
+    def test_fields_stored_as_float_and_int(self):
+        params = ClassParams(p=np.int64(3), theta=2, r=np.float32(0.5), lam=1, k=np.int64(2))
+        for name in ("p", "theta", "r", "lam"):
+            assert type(getattr(params, name)) is float
+        assert type(params.k) is int
+        assert params == validate_params(p=3, theta=2, r=0.5, lam=1, k=2)
 
 
 class TestPhiEval:

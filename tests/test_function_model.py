@@ -199,6 +199,13 @@ class TestModulusP2Exact:
         want = oracles.modulus_p2_h_scan(coeffs, 2, 1.7, 37)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n_freqs", [8, 200])
+    @pytest.mark.parametrize("h_samples", [0, 1])
+    def test_rejects_fewer_than_16_shifts(self, n_freqs, h_samples):
+        # 8 frequencies take the full scan, 200 the pruned path above 64
+        with pytest.raises(DomainError, match="h_samples must be at least 16"):
+            modulus_p2_exact(CosineSeries(np.ones(n_freqs)), 1, 0.5, h_samples)
+
     def test_two_harmonics_cross_oracle_with_grid(self):
         ser = CosineSeries(np.array([1.0, 0.5]))
         req = ModulusRequest(k=1, t=2.0, p=2.0)
