@@ -263,6 +263,8 @@ class MajorantPhi:
             values = np.asarray(self.table[1], dtype=float)
             if deltas.shape != values.shape or deltas.ndim != 1 or deltas.size < 2:
                 raise ConstraintViolation("table must be two equal-length 1-D arrays")
+            if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(values))):
+                raise ConstraintViolation("table abscissae and values must be finite")
             if np.any(np.diff(deltas) <= 0) or deltas[0] <= 0 or deltas[-1] >= 1:
                 raise ConstraintViolation("table abscissae must increase strictly inside (0, 1)")
             if np.any(values < 0) or not np.any(values > 0):

@@ -25,9 +25,11 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_GRID_N = 4096
 #: default number of shift samples on [0, t], both endpoints included
 DEFAULT_H_SAMPLES = 257
-#: modulus_p2_exact scans every shift row of supports up to this size; above it,
-#: the lowest this-many frequencies form the exact part of the row bound
+#: modulus_p2_exact scans every shift row of supports up to this size
 _EXACT_BLOCK = 64
+#: buckets of equal width in nu t / 2 over (0, pi / 2] in the low band of the
+#: modulus_p2_exact row bound
+_RATIO_BUCKETS = 16
 #: relative slack on the row bounds of both moduli, so rounding cannot prune a row
 #: that ties the best row evaluated so far
 _BOUND_SLACK = 1e-9
@@ -226,12 +228,19 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     sup over the shift grid of sqrt(pi * g(h)), g(h) = sum_nu a_nu^2 (2 sin(nu h / 2))^(2k).
     Serves as the oracle for the grid modulus at p = 2.
 
-    Supports of more than _EXACT_BLOCK frequencies are pruned with a certificate:
-    g(t) is evaluated first, and every other shift h is bounded by g over the
-    lowest _EXACT_BLOCK frequencies plus sum_{nu above} a_nu^2 min(nu h, 2)^(2k),
-    which holds because 2 |sin(x / 2)| <= min(|x|, 2).  Only the rows whose bound
-    reaches g(t) are evaluated in full; the rest are provably below it, so the
-    value is the same grid sup as a full scan, up to floating-point summation order.
+    Supports of more than _EXACT_BLOCK frequencies are pruned with a certificate.
+    g(t) is evaluated first, with terms T_nu = a_nu^2 (2 sin(nu t / 2))^(2k), and
+    every other shift h = lambda t is bounded in two bands:
+
+    - nu t <= pi: with y = nu t / 2 in (0, pi / 2], sin(lambda y) / sin(y) is
+      non-decreasing in y, because x cot x decreases on (0, pi).  So each term is at
+      most rho^(2k) T_nu, with rho = sin(lambda y_b) / sin(y_b) at the top y_b of
+      nu's bucket, one of _RATIO_BUCKETS of equal width in y.
+    - nu t > pi: sum a_nu^2 min(nu h, 2)^(2k), since 2 |sin(x / 2)| <= min(|x|, 2).
+
+    Only the rows whose bound, times 1 + _BOUND_SLACK, reaches g(t) are evaluated
+    in full; the rest are provably below it, so the value is the same grid sup as
+    a full scan, up to floating-point summation order.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"difference order k must be a positive integer, got {k}")
@@ -249,12 +258,20 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     if freqs.size <= _EXACT_BLOCK:
         return float(math.sqrt(math.pi * (_sin_form_terms(hs, freqs, k) @ w).max()))
 
-    top = float(_sin_form_terms(hs[-1], freqs, k) @ w)
+    terms_t = _sin_form_terms(hs[-1], freqs, k)
+    top = float(terms_t @ w)
     rest = hs[:-1]
-    bound = _sin_form_terms(rest, freqs[:_EXACT_BLOCK], k) @ w[:_EXACT_BLOCK]
-    f_hi = freqs[_EXACT_BLOCK:].astype(float)
-    w_hi = w[_EXACT_BLOCK:]
-    # rows at h = 0 keep their exact-block value, which is 0
+    # low band: T summed per bucket, each sum times rho^(2k) at lambda = h / t; with
+    # 2 y_b in place of the frequencies, _sin_form_terms gives (2 sin(lambda y_b))^(2k)
+    two_y = np.arange(1, _RATIO_BUCKETS + 1) * (math.pi / _RATIO_BUCKETS)
+    ends = np.searchsorted(freqs * t, two_y, side="right")
+    low = ends[-1]
+    cum_t = np.concatenate(([0.0], np.cumsum(terms_t[:low] * w[:low])))
+    bucket_t = np.diff(cum_t[ends], prepend=0.0)
+    bound = _sin_form_terms(rest / t, two_y, k) @ (bucket_t / _sin_form_terms(1.0, two_y, k))
+    f_hi = freqs[low:].astype(float)
+    w_hi = w[low:]
+    # rows at h = 0 keep their low-band value, which is 0
     pos = rest > 0.0
     h = rest[pos]
     # overflow only loosens the bound to inf, or to NaN via 0 * inf; both rows are kept

@@ -154,6 +154,16 @@ class TestConfigKeys:
                         + line + "\n")
         assert main(["phi-check", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("line", [
+        "phi.deltas = 0.1,0.3,0.5,0.7,0.9\nphi.values = 0.1,nan,0.4,0.7,0.95",
+        "phi.deltas = 0.1,nan,0.5,0.7,0.9\nphi.values = 0.1,0.2,0.4,0.7,0.95"],
+        ids=["values", "deltas"])
+    def test_nan_in_phi_table_exits_2(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("phi.kind = power", "phi.kind = tabulated")
+                        + line + "\n")
+        assert main(["phi-check", "--config", cfg]) == 2
+        assert "phi section" in capsys.readouterr().err
+
     def test_negative_jensen_len_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, "ineq.lemmas = jensen\nineq.jensen_len = -1\n")
         assert main(["ineq-sweep", "--config", cfg]) == 2

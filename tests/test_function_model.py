@@ -20,6 +20,7 @@ from trigsmooth import (
     power_law_series,
     synthesize,
 )
+from trigsmooth import function_model
 from trigsmooth.core import DENSE_LIMIT
 from trigsmooth.function_model import auto_grid_size
 
@@ -240,6 +241,34 @@ def _two_cluster_case():
     return coeffs, 2.0 * math.pi / 1000
 
 
+@st.composite
+def _slowly_decaying_support(draw, min_size, max_size):
+    """min_size to max_size signed coefficients nu^(-s), s in [0.25, 1], on frequencies
+    at most 3 apart."""
+    size = draw(st.integers(min_size, max_size))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+    s = draw(st.floats(0.25, 1.0))
+    signs = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    nus = np.cumsum(gaps)
+    coeffs = np.zeros(nus[-1])
+    coeffs[nus - 1] = nus ** (-s) * np.where(signs, -1.0, 1.0)
+    return coeffs
+
+
+@pytest.fixture
+def sin_form_calls(monkeypatch):
+    """(rows, columns) of each _sin_form_terms call made while the test runs."""
+    calls = []
+    real = function_model._sin_form_terms
+
+    def counting(hs, freqs, k):
+        calls.append((np.size(hs), np.size(freqs)))
+        return real(hs, freqs, k)
+
+    monkeypatch.setattr(function_model, "_sin_form_terms", counting)
+    return calls
+
+
 class TestModulusP2Pruned:
     """Supports wider than the exact block take the pruned path, which must return the
     same grid sup as a scan of every shift row."""
@@ -269,6 +298,73 @@ class TestModulusP2Pruned:
             got = modulus_p2_exact(ser, k, 1.0 / nu)
             want = oracles.modulus_p2_full_grid(ser.coeffs, k, 1.0 / nu, 257)
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @given(coeffs=_slowly_decaying_support(65, 600), k=st.sampled_from([1, 2, 3]),
+           t=st.floats(1e-4, 0.05), h_samples=st.sampled_from([17, 33, 257]))
+    @settings(max_examples=40, deadline=None)
+    def test_dense_support_at_small_t_matches_loop_oracle(self, coeffs, k, t, h_samples):
+        # most frequencies lie on both sides of pi / t, in the low and the high band
+        got = modulus_p2_exact(CosineSeries(coeffs), k, t, h_samples)
+        want = oracles.modulus_p2_h_scan(coeffs, k, t, h_samples)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_sup_off_the_last_row_near_the_low_band_top(self):
+        # nu = 499 lies in the top bucket of the low band (nu t / 2 = 0.499 pi), and
+        # nu = 1000 (nu t = 2 pi) peaks at h = t / 2; its coefficient puts the sup near
+        # h = t / 2 about 0.4% above g(t), less than rho taken at the bucket's bottom
+        # edge would leave out of that row's bound
+        coeffs = np.zeros(1000)
+        coeffs[:64] = 1e-3
+        coeffs[498], coeffs[999] = 1.0, 0.932
+        t = 2.0 * math.pi / 1000
+        got = modulus_p2_exact(CosineSeries(coeffs), 3, t, 257)
+        assert got > oracles.modulus_p2_h_scan(coeffs, 3, t, 2) * (1 + 1e-3)
+        assert got == pytest.approx(oracles.modulus_p2_h_scan(coeffs, 3, t, 257),
+                                    rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_power_law_1_5_matches_full_grid(self, k):
+        ser = power_law_series(1.5, 2048)
+        for nu in (1, 2, 17, 256, 1024):
+            got = modulus_p2_exact(ser, k, 1.0 / nu)
+            want = oracles.modulus_p2_full_grid(ser.coeffs, k, 1.0 / nu, 257)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("k", [3, 13])
+    def test_wide_support_near_2_40_matches_mpmath(self, k):
+        # frequencies 2**30 (2**10 + j) and shifts i t / 32 with t a power of two, so
+        # each nu h is exact in floats; pi / t splits the support at t = 2**-39.  At
+        # k = 13, nu**(2k) overflows, so rows with 2 / h above the high band get an inf
+        # or NaN bound and are kept
+        rng = np.random.default_rng(3)
+        freqs = 2**30 * (2**10 + np.unique(rng.integers(0, 2**10, 96)))
+        amps = rng.uniform(0.2, 1.0, freqs.size) * rng.choice([-1.0, 1.0], freqs.size)
+        ser = CosineSeries.from_support(freqs, amps, int(freqs[-1]))
+        for t in (1.0, 2.0**-38, 2.0**-39, 2.0**-40, 2.0**-44):
+            want = oracles.mp_modulus_p2(freqs, amps, k, t, 33)
+            assert modulus_p2_exact(ser, k, t, 33) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_power_law_evaluates_few_full_rows(self, sin_form_calls):
+        ser = power_law_series(1.5, 2048)
+        for nu in range(1, 1025):
+            modulus_p2_exact(ser, 3, 1.0 / nu)
+        # full rows, the h = t row included; bounding the low band by the lowest 64
+        # frequencies alone kept 46.3 per call
+        full_rows = sum(rows for rows, cols in sin_form_calls if cols == 2048)
+        assert full_rows / 1024 < 15
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_tying_the_last_row_are_evaluated(self, sin_form_calls, seed):
+        # odd frequencies from 101 at t = pi: 2 |sin(nu t / 2)| = 2, so g(t) = 4^k sum a^2,
+        # which is also the bound of every row with h >= 2 / 101; only the slack keeps
+        # those rows when rounding puts the bound below g(t)
+        rng = np.random.default_rng(seed)
+        freqs = np.arange(101, 261, 2)
+        amps = rng.uniform(0.1, 1.0, freqs.size) * rng.choice([-1.0, 1.0], freqs.size)
+        got = modulus_p2_exact(CosineSeries.from_support(freqs, amps, 259), 2, math.pi, 17)
+        assert got == pytest.approx(4.0 * math.sqrt(math.pi * np.sum(amps * amps)), rel=1e-14)
+        # the h = t row and the 15 rows with h > 0
+        assert sum(rows for rows, cols in sin_form_calls if cols == freqs.size) == 16
 
 
 def _harmonic_past_peak():
