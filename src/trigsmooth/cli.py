@@ -160,7 +160,10 @@ def load_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigNotFound(f"config file not found: {path}")
-    text = p.read_text()
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not valid UTF-8: {exc}") from exc
     if p.suffix == ".json" or text.lstrip().startswith("{"):
         try:
             cfg = json.loads(text)

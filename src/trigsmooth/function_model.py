@@ -33,6 +33,9 @@ _RATIO_BUCKETS = 16
 #: relative slack on the row bounds of both moduli, so rounding cannot prune a row
 #: that ties the best row evaluated so far
 _BOUND_SLACK = 1e-9
+#: the grid modulus evaluates the candidate rows at multiples of this many shifts first
+#: and bounds the candidates between two of them from their values
+_ANCHOR_STEP = 16
 
 
 @dataclass(frozen=True)
@@ -142,10 +145,15 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     Only h >= 0 is scanned; the norm of the k-th difference is even in h.
 
     The sup is certified rather than scanned.  The row h = t is evaluated on the
-    grid first; every other row g = Delta_h^k f is bounded from its coefficients
-    (_norm_bounds), and only the rows whose bound, times 1 + _BOUND_SLACK, is not
-    below the best value so far are evaluated on the grid.  The rest are provably
-    lower, so the value is the same grid sup as a scan of every row.
+    grid first and every other row g = Delta_h^k f is bounded from its coefficients
+    (_holder_bounds).  The candidates are the rows whose bound, times 1 +
+    _BOUND_SLACK, is not below that value.  Candidates at a multiple of
+    _ANCHOR_STEP shifts are evaluated next, as anchors, with the row h = t.  Every
+    other candidate h is also bounded by value(h0) + _difference_bounds(h, h0) for
+    the evaluated anchors h0 at the two ends of its block (the grid L_p norm obeys
+    the triangle inequality), and only the candidates whose smallest bound still
+    reaches the best value so far are evaluated.  The rest are provably lower, so
+    the value is the same grid sup as a scan of every row.
     """
     if req.t == 0.0:
         return 0.0
@@ -154,22 +162,52 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     if freqs.size == 0:
         return 0.0
     hs = shift_grid(req.t, req.h_samples)
-    # rows per batch: about 2**22 complex spectrum entries at every grid size
+    # rows per batch: about 2**22 complex spectrum entries at every grid size, and at
+    # most 2**22 entries in each coefficient matrix, since n > 2 * freqs.size
     h_chunk = max(1, 2**23 // n)
-    best = _grid_sup(hs[-1:], freqs, amps, req, n)
-    rest = hs[:-1]
-    bound = np.concatenate([_norm_bounds(rest[lo: lo + h_chunk], freqs, amps, req.k, req.p)
-                            for lo in range(0, rest.size, h_chunk)])
+
+    def norms(rows):
+        return _in_batches(lambda h: _grid_norms(h, freqs, amps, req, n), h_chunk, hs[rows])
+
+    last = hs.size - 1
+    # NaN marks a row that is not evaluated
+    values = np.full(hs.size, np.nan)
+    values[last] = norms([last])[0]
+    # row h has coefficients a_nu (e^{i nu h} - 1)^k, of modulus |a_nu| |2 sin(nu h / 2)|^k
+    bound = _in_batches(lambda h: _holder_bounds(_sin_form_terms(h, freqs, req.k), amps, req.p),
+                        h_chunk, hs[:last])
     # a NaN or inf bound keeps its row
-    kept = rest[~(bound * (1.0 + _BOUND_SLACK) < best)]
-    for lo in range(0, kept.size, h_chunk):
-        best = max(best, _grid_sup(kept[lo: lo + h_chunk], freqs, amps, req, n))
-    return best
+    cand = np.flatnonzero(~(bound * (1.0 + _BOUND_SLACK) < values[last]))
+    anchors = cand[cand % _ANCHOR_STEP == 0]
+    values[anchors] = norms(anchors)
+    best = values[anchors].max(initial=values[last])
+    others = cand[cand % _ANCHOR_STEP != 0]
+    below = others - others % _ANCHOR_STEP
+    for ends in (below, np.minimum(below + _ANCHOR_STEP, last)):
+        near = ~np.isnan(values[ends])
+        rows, anchor = others[near], ends[near]
+        # overflow only loosens a neighbour bound to inf, or to NaN via 0 * inf, and
+        # fmin then keeps the row's other bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = _in_batches(lambda h, h0: _difference_bounds(h, h0, freqs, amps, req.k, req.p),
+                               h_chunk, hs[rows], hs[anchor])
+            bound[rows] = np.fmin(bound[rows], values[anchor] + diff)
+    kept = others[~(bound[others] * (1.0 + _BOUND_SLACK) < best)]
+    return float(norms(kept).max(initial=best))
 
 
-def _grid_sup(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
-              req: ModulusRequest, n: int) -> float:
-    """Largest rectangle-rule L_p norm of Delta_h^k f on the n-point grid over the shifts hs."""
+def _in_batches(fn, h_chunk: int, *rows: np.ndarray) -> np.ndarray:
+    """fn(*batch) over consecutive batches of h_chunk entries of the equal-length arrays
+    rows, concatenated; fn returns one value per entry."""
+    out = np.empty(rows[0].size)
+    for lo in range(0, out.size, h_chunk):
+        out[lo: lo + h_chunk] = fn(*(r[lo: lo + h_chunk] for r in rows))
+    return out
+
+
+def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
+                req: ModulusRequest, n: int) -> np.ndarray:
+    """Rectangle-rule L_p norm of Delta_h^k f on the n-point grid, one per shift in hs."""
     mult = (np.exp(1j * np.outer(hs, freqs.astype(float))) - 1.0) ** req.k
     spec = np.zeros((hs.size, n // 2 + 1), dtype=complex)
     spec[:, freqs] = mult * (0.5 * n * amps)
@@ -181,27 +219,57 @@ def _grid_sup(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
         np.abs(diffs, out=diffs)
         np.power(diffs, req.p, out=diffs)
         sums = np.sum(diffs, axis=-1)
-    return float(((TWO_PI / n * sums) ** (1.0 / req.p)).max())
+    return (TWO_PI / n * sums) ** (1.0 / req.p)
 
 
-def _norm_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, k: int,
-                 p: float) -> np.ndarray:
-    """Upper bound on the grid L_p norm of g = Delta_h^k f, one per shift in hs.
+def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
+                       amps: np.ndarray, k: int, p: float) -> np.ndarray:
+    """Upper bound on the grid L_p norm of Delta_h^k f - Delta_h0^k f, one per pair of
+    shifts (h, h0) in hs and h0s.
 
-    g has coefficients a_nu (e^{i nu h} - 1)^k.  The grid holds every harmonic
-    alias-free, so Parseval gives the grid L_2 norm exactly,
-    ||g||_2 = sqrt(pi sum a_nu^2 (2 sin(nu h / 2))^(2k)), and
-    ||g||_inf <= sum |a_nu| |2 sin(nu h / 2)|^k.  Discrete Hoelder on total
-    measure 2 pi then gives ||g||_p <= ||g||_2^(2/p) ||g||_inf^(1 - 2/p) for
-    p >= 2 and ||g||_p <= (2 pi)^(1/p - 1/2) ||g||_2 for p <= 2; at p = 2 the
-    bound is the grid value itself, up to rounding.
+    With z = e^{i nu h} - 1 and w = e^{i nu h0} - 1, the coefficient of nu is
+    a_nu (z^k - w^k) = a_nu (z - w) sum_j z^j w^(k-1-j), and |z - w| =
+    |2 sin(nu (h - h0) / 2)|, so its modulus is at most |a_nu| times
+    m_nu = |2 sin(nu (h - h0) / 2)| sum_j |2 sin(nu h / 2)|^j |2 sin(nu h0 / 2)|^(k-1-j).
+    The half angles are the ones the grid rows are built from, so the sine of their
+    difference bounds the rows as evaluated.
     """
-    terms = _sin_form_terms(hs, freqs, k)
-    l2 = np.sqrt(math.pi * (terms @ (amps * amps)))
+    half = 0.5 * freqs
+    z = np.multiply.outer(hs, half)
+    w = np.multiply.outer(h0s, half)
+    m = z - w
+    for arg in (m, z, w) if k > 1 else (m,):
+        np.sin(arg, out=arg)
+        np.abs(arg, out=arg)
+        arg *= 2.0
+    if k > 1:
+        # M_1 = m and M_(j+1) = z M_j + m w^j give M_k = m sum_j z^j w^(k-1-j)
+        mw = m.copy()
+        for _ in range(k - 1):
+            mw *= w
+            m *= z
+            m += mw
+    np.multiply(m, m, out=m)
+    return _holder_bounds(m, amps, p)
+
+
+def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float) -> np.ndarray:
+    """Upper bound on the grid L_p norm of each real trigonometric polynomial whose
+    coefficient of nu has modulus at most |a_nu| m_nu, from sq = m_nu^2 (one row per
+    polynomial, overwritten).
+
+    The grid holds every harmonic alias-free, so Parseval gives the grid L_2 norm
+    exactly, ||g||_2 <= sqrt(pi sum a_nu^2 m_nu^2), and ||g||_inf <= sum |a_nu| m_nu.
+    Discrete Hoelder on total measure 2 pi then gives
+    ||g||_p <= ||g||_2^(2/p) ||g||_inf^(1 - 2/p) for p >= 2 and
+    ||g||_p <= (2 pi)^(1/p - 1/2) ||g||_2 for p <= 2; at p = 2 the bound is the grid
+    value itself when m_nu is the exact modulus, up to rounding.
+    """
+    l2 = np.sqrt(math.pi * (sq @ (amps * amps)))
     if p <= 2.0:
         return TWO_PI ** (1.0 / p - 0.5) * l2
-    np.sqrt(terms, out=terms)
-    return l2 ** (2.0 / p) * (terms @ np.abs(amps)) ** (1.0 - 2.0 / p)
+    np.sqrt(sq, out=sq)
+    return l2 ** (2.0 / p) * (sq @ np.abs(amps)) ** (1.0 - 2.0 / p)
 
 
 def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int) -> np.ndarray:
@@ -253,10 +321,16 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     freqs, amps = series.support()
     if freqs.size == 0:
         return 0.0
-    hs = shift_grid(t, h_samples)
+    # at tiny t the terms would be subnormal and lose digits.  The float sine is the
+    # identity below 2^-26, so scaling the shifts by 2^e, which takes nu_max t into
+    # [2^-28, 2^-27), scales every sine factor by exactly 2^e and the sup by 2^(k e);
+    # the largest term then stays normal up to k = 18
+    e = max(0, -27 - math.frexp(float(freqs[-1]) * t)[1])
+    hs = np.ldexp(shift_grid(t, h_samples), e)
     w = amps * amps
     if freqs.size <= _EXACT_BLOCK:
-        return float(math.sqrt(math.pi * (_sin_form_terms(hs, freqs, k) @ w).max()))
+        top = float((_sin_form_terms(hs, freqs, k) @ w).max())
+        return math.ldexp(math.sqrt(math.pi * top), -k * e)
 
     terms_t = _sin_form_terms(hs[-1], freqs, k)
     top = float(terms_t @ w)
@@ -268,10 +342,11 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     low = ends[-1]
     cum_t = np.concatenate(([0.0], np.cumsum(terms_t[:low] * w[:low])))
     bucket_t = np.diff(cum_t[ends], prepend=0.0)
-    bound = _sin_form_terms(rest / t, two_y, k) @ (bucket_t / _sin_form_terms(1.0, two_y, k))
+    bound = _sin_form_terms(rest / hs[-1], two_y, k) @ (bucket_t / _sin_form_terms(1.0, two_y, k))
     f_hi = freqs[low:].astype(float)
     w_hi = w[low:]
-    # rows at h = 0 keep their low-band value, which is 0
+    # rows at h = 0 keep their low-band value, which is 0; e > 0 only when every nu t
+    # lies far below pi, so the high band is then empty
     pos = rest > 0.0
     h = rest[pos]
     # overflow only loosens the bound to inf, or to NaN via 0 * inf; both rows are kept
@@ -281,7 +356,9 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         suffix = np.concatenate((np.cumsum(w_hi[::-1])[::-1], [0.0]))
         m = np.searchsorted(f_hi, 2.0 / h)
         bound[pos] += h ** (2 * k) * prefix[m] + np.power(4.0, k) * suffix[m]
-    keep = ~(bound * (1.0 + _BOUND_SLACK) < top)
-    if keep.any():
-        top = max(top, float((_sin_form_terms(rest[keep], freqs, k) @ w).max()))
-    return math.sqrt(math.pi * top)
+    kept = rest[~(bound * (1.0 + _BOUND_SLACK) < top)]
+    # rows per batch: at most 2**22 entries in each terms matrix; one batch up to 2**14
+    # frequencies
+    h_chunk = max(1, 2**22 // freqs.size)
+    top = _in_batches(lambda h: _sin_form_terms(h, freqs, k) @ w, h_chunk, kept).max(initial=top)
+    return math.ldexp(math.sqrt(math.pi * top), -k * e)

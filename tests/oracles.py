@@ -31,9 +31,9 @@ def brute_power_tail(q: float, start: int, rel_tol: float = 1e-15,
     return total + 0.5 * (lo + hi)
 
 
-def direct_synthesis(coeffs, n: int) -> np.ndarray:
-    """Pointwise sum_k a_k cos(k x_j), no FFT."""
-    x = 2.0 * math.pi * np.arange(n) / n
+def direct_synthesis(coeffs, n: int, shift: float = 0.0) -> np.ndarray:
+    """Pointwise sum_k a_k cos(k (x_j + shift)), no FFT."""
+    x = 2.0 * math.pi * np.arange(n) / n + shift
     out = np.zeros(n)
     for i, a in enumerate(coeffs, start=1):
         out += a * np.cos(i * x)
@@ -46,15 +46,21 @@ def brute_lp_norm(samples: np.ndarray, p: float) -> float:
 
 
 def modulus_p2_h_scan(coeffs, k: int, t: float, h_samples: int) -> float:
-    """Loop-based sup over the shift grid of the Parseval difference norm."""
+    """Loop-based sup over the shift grid of the Parseval difference norm.
+
+    At tiny t the terms would be subnormal and lose digits, so each shift is scaled
+    by 2^e, with len(coeffs) t 2^e below 2^-27; there the float sine is the
+    identity, so every sine factor is scaled by exactly 2^e, and the sup by 2^(k e)."""
+    e = max(0, -27 - math.frexp(len(coeffs) * t)[1])
     best = 0.0
     for h in shift_grid(t, h_samples):
+        h = math.ldexp(h, e)
         acc = math.fsum(
             a * a * (2.0 * abs(math.sin(0.5 * nu * h))) ** (2 * k)
             for nu, a in enumerate(coeffs, start=1)
         )
         best = max(best, math.sqrt(math.pi * acc))
-    return best
+    return math.ldexp(best, -k * e)
 
 
 def modulus_p2_full_grid(coeffs, k: int, t: float, h_samples: int) -> float:

@@ -68,6 +68,12 @@ class TestConfigParsing:
         assert main(["modulus", "--config", "/nonexistent/nope.cfg"]) == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"series.generator = power:2:64\n\xff\xfe = 1\n")
+        assert main(["modulus", "--config", str(path)]) == 2
+        assert "not valid UTF-8" in capsys.readouterr().err
+
     def test_config_flag_required(self):
         assert main(["modulus"]) == 2
 

@@ -366,6 +366,33 @@ class TestModulusP2Pruned:
         # the h = t row and the 15 rows with h > 0
         assert sum(rows for rows, cols in sin_form_calls if cols == freqs.size) == 16
 
+    @pytest.mark.parametrize("size", [40, 200], ids=["exact_block", "pruned"])
+    @pytest.mark.parametrize("t", [1e-160, 1e-200])
+    def test_tiny_t_matches_mpmath(self, size, t):
+        # every term a^2 (2 sin(nu h / 2))^2 lies below 2**-1022 here, so unscaled terms
+        # would be subnormal; at t = 1e-200 they underflowed to a modulus of 0
+        rng = np.random.default_rng(7)
+        freqs = np.cumsum(rng.integers(1, 5, size))
+        amps = rng.uniform(0.01, 1.0, size) * rng.choice([-1.0, 1.0], size)
+        ser = CosineSeries.from_support(freqs, amps, int(freqs[-1]))
+        want = oracles.mp_modulus_p2(freqs, amps, 1, t, 17)
+        assert modulus_p2_exact(ser, 1, t, 17) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_kept_rows_are_evaluated_in_bounded_batches(self):
+        # at t = pi the high-band bound, about 4 sum a^2, is above g(t) on every row, so
+        # all 256 rows are kept; evaluated at once they peaked at 130 MiB
+        rng = np.random.default_rng(5)
+        ser = CosineSeries(rng.choice([-1.0, 1.0], 2**16))
+        tracemalloc.start()
+        try:
+            got = modulus_p2_exact(ser, 1, math.pi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx(math.sqrt(math.pi * 4 * 2**15), rel=1e-12)
+        # one batch of 2**22 entries (32 MiB)
+        assert peak < 48 * 2**20
+
 
 def _harmonic_past_peak():
     # 2 |sin(h)| peaks at h = pi / 2, inside the shift range, and is 7% lower at h = t
@@ -447,3 +474,40 @@ class TestModulusPruned:
         assert sum(irfft_rows) > 8
         # one batch: about 2**22 complex spectrum entries (64 MiB) and its 64 MiB of rows
         assert peak < 160 * 2**20
+
+    def test_power_law_at_p3_neighbour_bounds_leave_few_rows(self, irfft_rows):
+        # the bound of each row alone leaves 100 rows to evaluate here
+        modulus(power_law_series(2.0, 256), ModulusRequest(k=1, t=1.0 / 16, p=3.0), 4096)
+        assert sum(irfft_rows) <= 20
+
+    @given(coeffs=_signed_support(120, 400), k=st.sampled_from([1, 2, 3]),
+           t=st.floats(0.0, math.pi, exclude_min=True), p=st.sampled_from([1.5, 3.0, 4.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_full_scan_across_anchor_blocks(self, coeffs, k, t, p):
+        # 257 shifts make 16 blocks of 16 rows between anchors
+        ser = CosineSeries(coeffs)
+        n = auto_grid_size(ser, 8)
+        got = modulus(ser, ModulusRequest(k=k, t=t, p=p, h_samples=257), n)
+        want = oracles.modulus_grid_full_scan(coeffs, k, t, p, 257, n)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _shifted_difference(coeffs, n, h, k):
+    """Delta_h^k f on the n-point grid, summed pointwise from shifted direct syntheses."""
+    return sum((-1) ** (k - j) * math.comb(k, j) * oracles.direct_synthesis(coeffs, n, j * h)
+               for j in range(k + 1))
+
+
+@given(coeffs=_signed_support(1, 40), k=st.sampled_from([1, 2, 3]),
+       p=st.sampled_from([1.05, 1.5, 2.0, 3.0, 4.0, 7.0]),
+       h=st.floats(0.0, math.pi), h0=st.floats(0.0, math.pi), oversample=st.sampled_from([1, 2]))
+@settings(max_examples=60, deadline=None)
+def test_difference_bound_covers_the_row_difference(coeffs, k, p, h, h0, oversample):
+    ser = CosineSeries(coeffs)
+    n = auto_grid_size(ser, 8) * oversample
+    freqs, amps = ser.support()
+    bound = function_model._difference_bounds(np.array([h]), np.array([h0]), freqs, amps, k, p)[0]
+    gap = _shifted_difference(coeffs, n, h, k) - _shifted_difference(coeffs, n, h0, k)
+    # rounding of the 2^k pointwise syntheses, whose cosine arguments reach 5 pi nu_max
+    slack = 1e-13 * 2.0 ** k * float(np.sum(np.abs(amps))) * freqs[-1]
+    assert oracles.brute_lp_norm(gap, p) <= bound * (1.0 + 1e-12) + slack
