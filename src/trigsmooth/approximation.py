@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .core import CosineSeries, FunctionalCurve, _check_levels
 from .errors import DivideByZeroError, DomainError, TagError
@@ -30,21 +29,36 @@ class ApproxResult:
     kind: str
 
 
-def power_sum_tail(c: float, q: float, start: int) -> float:
-    """sum_{nu >= start} c * nu**(-q), via the Hurwitz zeta function (q > 1).
+#: terms of power_sum_tail summed directly before the Euler-Maclaurin tail takes over
+_DIRECT_TERMS = 9
+#: B_2k / (2k)! for k = 1..10, the Euler-Maclaurin tail coefficients
+_EM_COEFFS = tuple(b / math.factorial(2 * k) for k, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
+     43867 / 798, -174611 / 330), 1))
 
-    scipy's Hurwitz zeta is not correctly rounded: against mpmath it is off by up
-    to 2.3e-11 relative on q in {1.5, 2, 2.5, 3, 4, 6, 8} x start in
-    {2, 10, 36, 100, 1025, 4097}, the worst case being zeta(8, 36).  Every
-    closed-form power-law tail (the ones built here, and the one in
-    functionals.lacunary_log_power_profile) and the fitted remainder
-    functionals._power_law_remainder call the same function and inherit that error.
+
+def power_sum_tail(c: float, q: float, start: float) -> float:
+    """sum_{nu >= start} c * nu**(-q) for q > 1: c times the Hurwitz zeta(q, start).
+
+    The first 9 terms are summed directly; the rest is the Euler-Maclaurin tail at
+    a = start + 9 with B_2..B_20 (DLMF 25.11(iii)).  Against mpmath at 300 digits
+    it is within 2.7e-16 relative on the grid of tests/test_approximation.py (q from
+    1.02 to 40, start from 1 to 2**62) wherever the value does not underflow.  Every
+    closed-form power-law tail and the fitted remainder of
+    functionals._power_law_remainder go through this function.
     """
     if c == 0.0:
         return 0.0
     if q <= 1.0:
         raise DomainError(f"power tail with exponent {q} <= 1 diverges")
-    return float(c * hurwitz_zeta(q, start))
+    a = float(start) + _DIRECT_TERMS
+    head = math.fsum((start + j) ** -q for j in range(_DIRECT_TERMS))
+    tail = a ** (1.0 - q) / (q - 1.0) + 0.5 * a ** -q
+    term, inv_a2 = q * a ** (-q - 1.0), 1.0 / (a * a)  # term: (q)_{2k-1} a^{-q-2k+1}
+    for k, coeff in enumerate(_EM_COEFFS, 1):
+        tail += coeff * term
+        term *= (q + 2 * k - 1) * (q + 2 * k) * inv_a2
+    return float(c * (head + tail))
 
 
 def l2_tail_sq(series: CosineSeries, start: int) -> float:

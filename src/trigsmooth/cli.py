@@ -61,8 +61,9 @@ from .errors import (
 )
 from .function_model import DEFAULT_H_SAMPLES, ModulusRequest, auto_grid_size, modulus, modulus_p2_exact
 
-#: Every config key: dotted name -> (type, default).  A list type such as [float]
-#: is a comma list of that type; a default of None means the key has none.
+#: Every config key: dotted name -> (type, default[, valid, message]).  A list type
+#: such as [float] is a comma list of that type; a default of None means the key has
+#: none.  A set value v for which valid(v) is false exits 2 with message.format(v).
 CONFIG_KEYS = {
     "series.coeffs": ([float], None),
     "series.generator": (str, None),
@@ -79,11 +80,14 @@ CONFIG_KEYS = {
     "phi.values": ([float], None),
     "sweep.n_values": ([int], (2, 4, 8, 16, 32, 64, 128, 256)),
     "sweep.t_values": ([float], tuple(math.pi * i / 8.0 for i in range(1, 9))),
-    "sweep.h_samples": (int, DEFAULT_H_SAMPLES),
+    "sweep.h_samples": (int, DEFAULT_H_SAMPLES, lambda v: v >= 16,
+                        "invalid sweep: h_samples must be at least 16"),
     "sweep.grid_n": (int, None),
     "sweep.grid_size": (int, 256),
-    "tolerances.slope_tol": (float, functionals.DEFAULT_SLOPE_TOL),
-    "tolerances.truncation_budget": (float, 0.5),
+    "tolerances.slope_tol": (float, functionals.DEFAULT_SLOPE_TOL, lambda v: not math.isnan(v),
+                             "tolerances.slope_tol must not be NaN"),
+    "tolerances.truncation_budget": (float, 0.5, lambda v: v >= 0,  # NaN fails too
+                                     "tolerances.truncation_budget must be >= 0 or inf, got {}"),
     "ineq.lemmas": ([str], ("jensen", "hardy_upper", "hardy_lower", "reverse_copson",
                             "two_sided")),
     "ineq.families": ([str], ("power", "geometric", "log_power", "random")),
@@ -95,7 +99,7 @@ CONFIG_KEYS = {
     "ineq.n_values": ([int], (32, 128)),
     "ineq.variants": ([str], ("tail", "head")),
     "ineq.jensen_cases": (int, 100),
-    "ineq.jensen_len": (int, 32),
+    "ineq.jensen_len": (int, 32, lambda v: v >= 0, "ineq.jensen_len must be non-negative, got {}"),
 }
 
 
@@ -191,8 +195,9 @@ def _coerce(kind, value, what: str):
 
 
 def setting(cfg: dict, key: str):
-    """The value of a CONFIG_KEYS key, coerced to its type; its default when absent or null."""
-    kind, default = CONFIG_KEYS[key]
+    """The value of a CONFIG_KEYS key, coerced to its type and validated; its default when
+    absent or null."""
+    kind, default, *rule = CONFIG_KEYS[key]
     value = cfg
     for part in key.split("."):
         value = value.get(part) if isinstance(value, dict) else None
@@ -200,7 +205,10 @@ def setting(cfg: dict, key: str):
         return default
     if isinstance(kind, list):
         return [_coerce(kind[0], v, key) for v in (value if isinstance(value, list) else [value])]
-    return _coerce(kind, value, key)
+    value = _coerce(kind, value, key)
+    if rule and not rule[0](value):
+        raise ConfigError(rule[1].format(value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +360,17 @@ def _membership_comment(name: str, rep: functionals.MembershipReport) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def _modulus_requests(params: ClassParams, t_values, h_samples: int) -> list[ModulusRequest]:
-    try:
-        return [ModulusRequest(k=params.k, t=t, p=params.p, h_samples=h_samples) for t in t_values]
-    except ConstraintViolation as exc:
-        raise ConfigError(f"invalid sweep: {exc}") from exc
-
-
 def cmd_modulus(cfg: dict, args) -> Report:
     series = build_series(cfg, args.seed)
     params = build_params(cfg)
     h_samples = setting(cfg, "sweep.h_samples")
     grid_n = setting(cfg, "sweep.grid_n")
     n = grid_n if grid_n is not None else auto_grid_size(series)
-    reqs = _modulus_requests(params, setting(cfg, "sweep.t_values"), h_samples)
+    try:
+        reqs = [ModulusRequest(k=params.k, t=t, p=params.p, h_samples=h_samples)
+                for t in setting(cfg, "sweep.t_values")]
+    except ConstraintViolation as exc:
+        raise ConfigError(f"invalid sweep: {exc}") from exc
     include_exact = params.p == 2.0
     columns = ["t", "omega"] + (["omega_p2_exact"] if include_exact else [])
     rows = []
@@ -402,13 +407,8 @@ def cmd_equivalence(cfg: dict, args) -> Report:
     if not n_values or n_values[0] < 2:
         raise ConfigError("equivalence sweep needs n values >= 2 (phi is evaluated at 1/n)")
     slope_tol = setting(cfg, "tolerances.slope_tol")
-    if math.isnan(slope_tol):
-        raise ConfigError("tolerances.slope_tol must not be NaN")
     budget = setting(cfg, "tolerances.truncation_budget")
-    if not budget >= 0:  # NaN fails too
-        raise ConfigError(f"tolerances.truncation_budget must be >= 0 or inf, got {budget}")
     h_samples = setting(cfg, "sweep.h_samples")
-    _modulus_requests(params, [0.0], h_samples)  # modulus's check of h_samples
     nu_max = args.max_nu if args.max_nu else max(4 * max(n_values), functionals.MIN_NU_MAX)
 
     table = functionals.ModulusTable(series, params.k, params.p, h_samples=h_samples)
@@ -466,8 +466,6 @@ def cmd_example(cfg: dict, args) -> Report:
     profile = functionals.lacunary_log_power_profile(r, alpha, theta, lam,
                                                      range(1, max_n + 1))
     slope_tol = setting(cfg, "tolerances.slope_tol")
-    if math.isnan(slope_tol):
-        raise ConfigError("tolerances.slope_tol must not be NaN")
     rows = [[int(n), t1, t2, int(m), d]
             for n, t1, t2, m, d in zip(profile.ns, profile.t1, profile.t2,
                                        profile.d_ms, profile.d_values)]
@@ -503,8 +501,6 @@ def cmd_ineq_sweep(cfg: dict, args) -> Report:
             "lemmas", "families", "alpha_values", "lambda_values", "p_values",
             "p_lower_values", "m_values", "n_values", "variants"))
     n_jensen, jensen_len = setting(cfg, "ineq.jensen_cases"), setting(cfg, "ineq.jensen_len")
-    if jensen_len < 0:
-        raise ConfigError(f"ineq.jensen_len must be non-negative, got {jensen_len}")
     rows = []
     for lemma in lemmas:
         if lemma == "jensen":

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .core import DENSE_LIMIT, CosineSeries, GridFunction
 from .errors import AliasError, ConstraintViolation, DomainError
@@ -211,7 +210,7 @@ def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
     mult = (np.exp(1j * np.outer(hs, freqs.astype(float))) - 1.0) ** req.k
     spec = np.zeros((hs.size, n // 2 + 1), dtype=complex)
     spec[:, freqs] = mult * (0.5 * n * amps)
-    diffs = scipy.fft.irfft(spec, n=n, axis=-1)
+    diffs = np.fft.irfft(spec, n=n, axis=-1)
     if req.p == 2.0:
         sums = np.einsum("ij,ij->i", diffs, diffs)
     else:

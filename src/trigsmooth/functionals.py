@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .approximation import best_approx, power_sum_tail
 from .core import ClassParams, CosineSeries, FunctionalCurve, MajorantPhi
@@ -109,7 +108,7 @@ def _power_law_remainder(nus: np.ndarray, terms: np.ndarray) -> tuple[float, flo
         return math.inf, q
     last_nu = float(nus[-1])
     scale = float(terms[-1]) * last_nu ** q
-    return float(scale * hurwitz_zeta(q, last_nu + 1.0)), q
+    return power_sum_tail(scale, q, last_nu + 1.0), q
 
 
 def _truncated(partial: float, remainder: float, rest: float, th: float) -> Truncated:
@@ -386,7 +385,7 @@ def lacunary_log_power_profile(r: float, alpha: float, theta: float, lam: float,
     t2 = np.empty(ns.size)
     d_values = np.empty(ns.size)
     for i, n in enumerate(ns):
-        tail = float(hurwitz_zeta(q, n + 2.0))
+        tail = power_sum_tail(1.0, q, n + 2.0)
         mus = np.arange(0, n + 1, dtype=float)
         head = float(np.sum((mus + 1.0) ** (-q) * 2.0 ** (mus * lam * theta)))
         attenuated = 2.0 ** (-float(n) * lam * theta) * head

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -263,9 +264,14 @@ class TestStoredSumsAgainstBruteForce:
 
 
 class TestPowerSumTailAccuracy:
-    @pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0])
+    @pytest.mark.parametrize("q", [1.02, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0, 20.0,
+                                   40.0])
     def test_hurwitz_zeta_against_mpmath(self, q):
-        # scipy's zeta is off by up to 2.3e-11 at zeta(8, 36); this pins that error
-        for start in (2, 10, 36, 100, 1025, 4097):
-            want = float(mpmath.zeta(q, start))
-            assert power_sum_tail(1.0, q, start) == pytest.approx(want, rel=1e-10, abs=0.0)
+        # mpmath's zeta needs far more than its default 15 digits here: at 15 it is off
+        # by 2.3e-11 at zeta(8, 36), and at 100 by 3.4e-11 at zeta(40, 1025)
+        for start in (1, 2, 10, 36, 100, 1025, 4097, 2**20, 2**40, 2**62):
+            with mpmath.workdps(300):
+                want = float(mpmath.zeta(q, start))
+            if want < sys.float_info.min:
+                continue  # the double result underflows
+            assert power_sum_tail(1.0, q, start) == pytest.approx(want, rel=1e-14, abs=0.0)

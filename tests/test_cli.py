@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -509,3 +510,14 @@ def test_module_entry_point_smoke(tmp_path):
         cwd=REPO_ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists() and out.read_text().startswith("n,t1,t2,d_m,d_value")
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; importing scipy would cost start-up time
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, trigsmooth.cli; "
+         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -401,15 +400,15 @@ def _harmonic_past_peak():
 
 @pytest.fixture
 def irfft_rows(monkeypatch):
-    """Number of rows of each scipy.fft.irfft call made while the test runs."""
+    """Number of rows of each np.fft.irfft call made while the test runs."""
     rows = []
-    real = scipy.fft.irfft
+    real = np.fft.irfft
 
     def counting(x, *args, **kwargs):
         rows.append(x.shape[0] if x.ndim > 1 else 1)
         return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.fft, "irfft", counting)
+    monkeypatch.setattr(np.fft, "irfft", counting)
     return rows
 
 

@@ -1,12 +1,11 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from scipy.special import zeta as hurwitz_zeta
 
 from trigsmooth import (
     CosineSeries,
@@ -33,6 +32,13 @@ from trigsmooth.core import FunctionalCurve
 from trigsmooth.functionals import dyadic_record, integral_record, series_record
 
 import oracles
+
+
+def hurwitz_zeta(s: float, a: float) -> float:
+    """zeta(s, a) from mpmath at 300 digits; at its default 15 it is off by 2.3e-11 at (8, 36)."""
+    with mpmath.workdps(300):
+        return float(mpmath.zeta(float(s), float(a)))
+
 
 PARAMS = validate_params(p=2.0, theta=1.0, r=0.5, lam=0.3, k=1)
 PARAMS_T2 = validate_params(p=2.0, theta=2.0, r=0.5, lam=0.3, k=1)
@@ -84,8 +90,7 @@ class TestIntegralForm:
             modulus_p2_exact(ser, PARAMS.k, 1.0 / nu) ** th
             * ((nu + 1) ** (r * th) - nu ** (r * th)) / (r * th) for nu in nus])
         q = -np.polyfit(np.log(nus), np.log(terms), 1)[0]
-        from scipy.special import zeta
-        remainder = terms[-1] * nus[-1] ** q * zeta(q, nus[-1] + 1)
+        remainder = terms[-1] * nus[-1] ** q * hurwitz_zeta(q, nus[-1] + 1)
         refined = (first + remainder + delta ** (lam * th) * second) ** (1.0 / th)
         assert coarse == pytest.approx(refined, rel=0.15)
 
