@@ -59,7 +59,8 @@ from .errors import (
     SmoothnessError,
     TruncationBudgetError,
 )
-from .function_model import DEFAULT_H_SAMPLES, ModulusRequest, auto_grid_size, modulus, modulus_p2_exact
+from .function_model import (DEFAULT_H_SAMPLES, MAX_H_SAMPLES, ModulusRequest, auto_grid_size,
+                             modulus, modulus_p2_exact)
 
 #: Every config key: dotted name -> (type, default[, valid, message]).  A list type
 #: such as [float] is a comma list of that type; a default of None means the key has
@@ -80,8 +81,9 @@ CONFIG_KEYS = {
     "phi.values": ([float], None),
     "sweep.n_values": ([int], (2, 4, 8, 16, 32, 64, 128, 256)),
     "sweep.t_values": ([float], tuple(math.pi * i / 8.0 for i in range(1, 9))),
-    "sweep.h_samples": (int, DEFAULT_H_SAMPLES, lambda v: v >= 16,
-                        "invalid sweep: h_samples must be at least 16"),
+    "sweep.h_samples": (int, DEFAULT_H_SAMPLES, lambda v: 16 <= v <= MAX_H_SAMPLES,
+                        f"invalid sweep: h_samples must be at least 16 and at most {MAX_H_SAMPLES}, "
+                        "got {}"),
     "sweep.grid_n": (int, None),
     "sweep.grid_size": (int, 256),
     "tolerances.slope_tol": (float, functionals.DEFAULT_SLOPE_TOL, lambda v: not math.isnan(v),

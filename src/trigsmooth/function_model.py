@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,10 @@ _EXACT_BLOCK = 64
 #: buckets of equal width in nu t / 2 over (0, pi / 2] in the low band of the
 #: modulus_p2_exact row bound
 _RATIO_BUCKETS = 16
+#: most shift samples accepted: the shift grid and the cached bucket ratios of
+#: modulus_p2_exact then hold at most DENSE_LIMIT entries
+MAX_H_SAMPLES = DENSE_LIMIT // _RATIO_BUCKETS + 1
+_H_SAMPLES_RANGE = f"h_samples must be at least 16 and at most {MAX_H_SAMPLES}"
 #: relative slack on the row bounds of both moduli, so rounding cannot prune a row
 #: that ties the best row evaluated so far
 _BOUND_SLACK = 1e-9
@@ -54,8 +59,8 @@ class ModulusRequest:
             raise ConstraintViolation(f"step bound t must lie in [0, pi], got {self.t}")
         if not (1.0 < self.p < math.inf):
             raise ConstraintViolation(f"exponent p must lie in (1, inf), got {self.p}")
-        if self.h_samples < 16:
-            raise ConstraintViolation("h_samples must be at least 16")
+        if not 16 <= self.h_samples <= MAX_H_SAMPLES:
+            raise ConstraintViolation(_H_SAMPLES_RANGE)
 
 
 def _check_grid(series: CosineSeries, n: int) -> None:
@@ -271,14 +276,17 @@ def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float) -> np.ndarray:
     return l2 ** (2.0 / p) * (sq @ np.abs(amps)) ** (1.0 - 2.0 / p)
 
 
-def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int) -> np.ndarray:
-    """(2 sin(nu h / 2))^(2k) with one row per shift h and one column per frequency nu.
+def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int, scale: int = 0) -> np.ndarray:
+    """(2 sin(nu h / 2) 2^scale)^(2k) with one row per shift h and one column per
+    frequency nu.
 
     Built in place; the sin form avoids the cancellation of 2 - 2 cos(nu h) at
-    small arguments.
+    small arguments.  The scale is applied after the sine, so it is exact.
     """
     arg = np.multiply.outer(hs, 0.5 * freqs)
     np.sin(arg, out=arg)
+    if scale:
+        np.ldexp(arg, scale, out=arg)
     np.multiply(arg, arg, out=arg)
     arg *= 4.0
     if k > 1:
@@ -288,6 +296,23 @@ def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int) -> np.ndarray:
     return arg
 
 
+# one entry, since every caller holds k and h_samples fixed over a table; at most
+# DENSE_LIMIT floats
+@lru_cache(maxsize=1)
+def _bucket_ratios(k: int, h_samples: int) -> np.ndarray:
+    """Read-only rho^(2k) = (sin(lambda y_b) / sin(y_b))^(2k), one row per lambda =
+    j / (h_samples - 1) with j < h_samples - 1 and one column per bucket top y_b =
+    b pi / (2 _RATIO_BUCKETS).  An underflowed denominator gives an inf or NaN ratio,
+    whose rows are kept."""
+    two_y = np.arange(1, _RATIO_BUCKETS + 1) * (math.pi / _RATIO_BUCKETS)
+    lam = np.arange(h_samples - 1) / (h_samples - 1)
+    # with 2 y_b in place of the frequencies, _sin_form_terms gives (2 sin(lambda y_b))^(2k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = _sin_form_terms(lam, two_y, k) / _sin_form_terms(1.0, two_y, k)
+    ratios.setflags(write=False)
+    return ratios
+
+
 def modulus_p2_exact(series: CosineSeries, k: int, t: float,
                      h_samples: int = DEFAULT_H_SAMPLES) -> float:
     """Closed-form p = 2 modulus via Parseval, no spatial grid.
@@ -295,14 +320,19 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     sup over the shift grid of sqrt(pi * g(h)), g(h) = sum_nu a_nu^2 (2 sin(nu h / 2))^(2k).
     Serves as the oracle for the grid modulus at p = 2.
 
-    Supports of more than _EXACT_BLOCK frequencies are pruned with a certificate.
-    g(t) is evaluated first, with terms T_nu = a_nu^2 (2 sin(nu t / 2))^(2k), and
-    every other shift h = lambda t is bounded in two bands:
+    When t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on
+    [0, t], so g peaks at h = t and that row alone is evaluated.  Otherwise supports
+    of at most _EXACT_BLOCK frequencies are scanned in full, and wider ones are
+    pruned with a certificate.  g(t) is evaluated first, with terms
+    T_nu = a_nu^2 (2 sin(nu t / 2))^(2k), and every other shift h = lambda t is
+    bounded in two bands:
 
     - nu t <= pi: with y = nu t / 2 in (0, pi / 2], sin(lambda y) / sin(y) is
       non-decreasing in y, because x cot x decreases on (0, pi).  So each term is at
       most rho^(2k) T_nu, with rho = sin(lambda y_b) / sin(y_b) at the top y_b of
-      nu's bucket, one of _RATIO_BUCKETS of equal width in y.
+      nu's bucket, one of _RATIO_BUCKETS of equal width in y.  rho^(2k) is taken
+      from _bucket_ratios at lambda = j / (h_samples - 1), which differs from the
+      row's own h / t by about 2^-52 relative; _BOUND_SLACK covers that.
     - nu t > pi: sum a_nu^2 min(nu h, 2)^(2k), since 2 |sin(x / 2)| <= min(|x|, 2).
 
     Only the rows whose bound, times 1 + _BOUND_SLACK, reaches g(t) are evaluated
@@ -313,39 +343,44 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         raise DomainError(f"difference order k must be a positive integer, got {k}")
     if not (0.0 <= t <= math.pi):
         raise DomainError(f"step bound t must lie in [0, pi], got {t}")
-    if h_samples < 16:
-        raise DomainError("h_samples must be at least 16")
+    if not 16 <= h_samples <= MAX_H_SAMPLES:
+        raise DomainError(_H_SAMPLES_RANGE)
     if t == 0.0:
         return 0.0
     freqs, amps = series.support()
     if freqs.size == 0:
         return 0.0
-    # at tiny t the terms would be subnormal and lose digits.  The float sine is the
-    # identity below 2^-26, so scaling the shifts by 2^e, which takes nu_max t into
-    # [2^-28, 2^-27), scales every sine factor by exactly 2^e and the sup by 2^(k e);
-    # the largest term then stays normal up to k = 18
-    e = max(0, -27 - math.frexp(float(freqs[-1]) * t)[1])
-    hs = np.ldexp(shift_grid(t, h_samples), e)
     w = amps * amps
-    if freqs.size <= _EXACT_BLOCK:
-        top = float((_sin_form_terms(hs, freqs, k) @ w).max())
-        return math.ldexp(math.sqrt(math.pi * top), -k * e)
+    if freqs[-1] * t <= math.pi:
+        # at tiny t the terms would be subnormal and lose digits.  The float sine is
+        # the identity below 2^-26, so scaling the shift by 2^e, which takes
+        # nu_max t into [2^-28, 2^-27), scales every sine factor by exactly 2^e; the
+        # factors are then scaled by 2^27 after the sine, which puts the largest in
+        # [1/2, 1), and the sup is scaled back by 2^(-k (e + 27))
+        e = max(0, -27 - math.frexp(float(freqs[-1]) * t)[1])
+        if e:
+            terms_t = _sin_form_terms(math.ldexp(t, e), freqs, k, 27)
+            e += 27
+        else:
+            terms_t = _sin_form_terms(t, freqs, k)
+        return math.ldexp(math.sqrt(math.pi * float(terms_t @ w)), -k * e)
 
-    terms_t = _sin_form_terms(hs[-1], freqs, k)
+    hs = shift_grid(t, h_samples)
+    if freqs.size <= _EXACT_BLOCK:
+        return math.sqrt(math.pi * float((_sin_form_terms(hs, freqs, k) @ w).max()))
+
+    terms_t = _sin_form_terms(t, freqs, k)
     top = float(terms_t @ w)
-    rest = hs[:-1]
-    # low band: T summed per bucket, each sum times rho^(2k) at lambda = h / t; with
-    # 2 y_b in place of the frequencies, _sin_form_terms gives (2 sin(lambda y_b))^(2k)
-    two_y = np.arange(1, _RATIO_BUCKETS + 1) * (math.pi / _RATIO_BUCKETS)
-    ends = np.searchsorted(freqs * t, two_y, side="right")
+    # low band: T summed per bucket, each sum times rho^(2k)
+    ends = np.searchsorted(freqs * t, np.arange(1, _RATIO_BUCKETS + 1) * (math.pi / _RATIO_BUCKETS),
+                           side="right")
     low = ends[-1]
     cum_t = np.concatenate(([0.0], np.cumsum(terms_t[:low] * w[:low])))
-    bucket_t = np.diff(cum_t[ends], prepend=0.0)
-    bound = _sin_form_terms(rest / hs[-1], two_y, k) @ (bucket_t / _sin_form_terms(1.0, two_y, k))
+    bound = _bucket_ratios(k, h_samples) @ np.diff(cum_t[ends], prepend=0.0)
     f_hi = freqs[low:].astype(float)
     w_hi = w[low:]
-    # rows at h = 0 keep their low-band value, which is 0; e > 0 only when every nu t
-    # lies far below pi, so the high band is then empty
+    rest = hs[:-1]
+    # rows at h = 0 keep their low-band value, which is 0
     pos = rest > 0.0
     h = rest[pos]
     # overflow only loosens the bound to inf, or to NaN via 0 * inf; both rows are kept
@@ -360,4 +395,4 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     # frequencies
     h_chunk = max(1, 2**22 // freqs.size)
     top = _in_batches(lambda h: _sin_form_terms(h, freqs, k) @ w, h_chunk, kept).max(initial=top)
-    return math.ldexp(math.sqrt(math.pi * top), -k * e)
+    return math.sqrt(math.pi * top)

@@ -209,6 +209,14 @@ class TestConfigKeys:
         assert "h_samples must be at least 16" in capsys.readouterr().err
 
 
+    def test_modulus_rejects_too_many_h_samples(self, tmp_path, capsys):
+        # 2**30 shifts used to end in a numpy memory error traceback
+        cfg = write_cfg(tmp_path, BASE_CFG + "sweep.h_samples = 1073741824\n")
+        assert main(["modulus", "--config", cfg]) == 2
+        assert "h_samples must be at least 16 and at most 1048577, got 1073741824" in \
+            capsys.readouterr().err
+
+
 FUZZ_BASE = dict(line.split(" = ") for line in BASE_CFG.replace(
     "power:2:256", "power:2:64").splitlines())
 FUZZ_KEYS = sorted(CONFIG_KEYS) + ["params.lamda"]

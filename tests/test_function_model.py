@@ -21,7 +21,8 @@ from trigsmooth import (
 )
 from trigsmooth import function_model
 from trigsmooth.core import DENSE_LIMIT
-from trigsmooth.function_model import auto_grid_size
+from trigsmooth.errors import ConstraintViolation
+from trigsmooth.function_model import MAX_H_SAMPLES, auto_grid_size
 
 import oracles
 
@@ -391,6 +392,69 @@ class TestModulusP2Pruned:
         assert got == pytest.approx(math.sqrt(math.pi * 4 * 2**15), rel=1e-12)
         # one batch of 2**22 entries (32 MiB)
         assert peak < 48 * 2**20
+
+
+class TestModulusP2Monotone:
+    """When t max_freq <= pi every factor sin^2(nu h / 2) grows on [0, t], so the h = t
+    row alone is the sup."""
+
+    @given(coeffs=_signed_support(1, 300), k=st.sampled_from([1, 2, 3]),
+           u=st.floats(1e-3, 1.0), h_samples=st.sampled_from([17, 33, 257]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_loop_oracle(self, coeffs, k, u, h_samples):
+        t = u * math.pi / coeffs.size
+        got = modulus_p2_exact(CosineSeries(coeffs), k, t, h_samples)
+        want = oracles.modulus_p2_h_scan(coeffs, k, t, h_samples)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_term_past_its_peak_is_scanned(self, k):
+        # nu t = 1.2 pi: sin^2(nu h / 2) peaks at h = pi / nu < t, 5% above the h = t row at k = 1
+        ser, t = harmonic(5), 1.2 * math.pi / 5
+        got = modulus_p2_exact(ser, k, t)
+        assert got > oracles.modulus_p2_h_scan(ser.coeffs, k, t, 2) * (1 + 1e-3)
+        assert got == pytest.approx(oracles.modulus_p2_h_scan(ser.coeffs, k, t, 257),
+                                    rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("ser,t", [(power_law_series(1.5, 2048), 1.0 / 652),
+                                       (CosineSeries(np.ones(64)), math.pi / 64)],
+                             ids=["dense", "exact_block"])
+    def test_evaluates_the_last_row_only(self, sin_form_calls, ser, t):
+        modulus_p2_exact(ser, 3, t)
+        assert sin_form_calls == [(1, ser.support()[0].size)]
+
+    @pytest.mark.parametrize("k", [19, 30])
+    def test_tiny_t_at_high_order_matches_mpmath(self, k):
+        # nu_max t = 8e-11: the shift scale lifts the largest sine factor only to 2**-27,
+        # and (2**-27)**(2k) underflows from k = 19 (the kernel returned 0 at k = 30)
+        rng = np.random.default_rng(11)
+        freqs = np.arange(1, 81)
+        amps = rng.uniform(0.1, 1.0, freqs.size) * rng.choice([-1.0, 1.0], freqs.size)
+        ser = CosineSeries.from_support(freqs, amps, 80)
+        want = oracles.mp_modulus_p2(freqs, amps, k, 1e-12, 17)
+        assert want > 2.0**-1022
+        assert modulus_p2_exact(ser, k, 1e-12, 17) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_bucket_ratios_are_cached_read_only(self):
+        ratios = function_model._bucket_ratios(3, 257)
+        assert ratios.shape == (256, function_model._RATIO_BUCKETS)
+        assert function_model._bucket_ratios(3, 257) is ratios
+        with pytest.raises(ValueError):
+            ratios[1, 1] = 0.0
+
+
+class TestShiftSamplesBound:
+    def test_request_and_kernel_refuse_too_many_shifts(self):
+        with pytest.raises(ConstraintViolation, match="at most 1048577"):
+            ModulusRequest(k=1, t=0.5, p=2.0, h_samples=MAX_H_SAMPLES + 1)
+        with pytest.raises(DomainError, match="at most 1048577"):
+            modulus_p2_exact(power_law_series(2.0, 256), 1, 0.5, MAX_H_SAMPLES + 1)
+
+    def test_largest_accepted_count(self):
+        ModulusRequest(k=1, t=0.5, p=2.0, h_samples=MAX_H_SAMPLES)
+        # nu t <= pi, so only the h = t row is built
+        got = modulus_p2_exact(harmonic(2), 2, 0.5, MAX_H_SAMPLES)
+        assert got == pytest.approx((2.0 * math.sin(0.5)) ** 2 * SQRT_PI, rel=1e-13)
 
 
 def _harmonic_past_peak():
