@@ -30,6 +30,8 @@ _EXACT_BLOCK = 64
 #: buckets of equal width in nu t / 2 over (0, pi / 2] in the low band of the
 #: modulus_p2_exact row bound
 _RATIO_BUCKETS = 16
+#: twice the bucket tops y_b = b pi / (2 _RATIO_BUCKETS), b = 1.._RATIO_BUCKETS
+_TWO_Y = np.arange(1, _RATIO_BUCKETS + 1) * (math.pi / _RATIO_BUCKETS)
 #: most shift samples accepted: the shift grid and the cached bucket ratios of
 #: modulus_p2_exact then hold at most DENSE_LIMIT entries
 MAX_H_SAMPLES = DENSE_LIMIT // _RATIO_BUCKETS + 1
@@ -115,11 +117,6 @@ def lp_norm(f: GridFunction, p: float) -> float:
     return float((TWO_PI / f.size * s) ** (1.0 / p))
 
 
-def _difference_multiplier(n: int, h: float, k: int) -> np.ndarray:
-    m = np.arange(n // 2 + 1)
-    return (np.exp(1j * m * h) - 1.0) ** k
-
-
 def difference(f: GridFunction, h: float, k: int, series: CosineSeries | None = None) -> GridFunction:
     """k-th finite difference x -> sum_j (-1)^(k-j) C(k,j) f(x + j h) on the grid.
 
@@ -134,7 +131,7 @@ def difference(f: GridFunction, h: float, k: int, series: CosineSeries | None = 
         spec = _series_spectrum(series, n)
     else:
         spec = np.fft.rfft(f.samples)
-    out = np.fft.irfft(spec * _difference_multiplier(n, h, k), n=n)
+    out = np.fft.irfft(spec * (np.exp(1j * np.arange(n // 2 + 1) * h) - 1.0) ** k, n=n)
     return GridFunction(out)
 
 
@@ -150,14 +147,14 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
 
     The sup is certified rather than scanned.  The row h = t is evaluated on the
     grid first and every other row g = Delta_h^k f is bounded from its coefficients
-    (_holder_bounds).  The candidates are the rows whose bound, times 1 +
+    (_row_bounds).  The candidates are the rows whose bound, times 1 +
     _BOUND_SLACK, is not below that value.  Candidates at a multiple of
     _ANCHOR_STEP shifts are evaluated next, as anchors, with the row h = t.  Every
-    other candidate h is also bounded by value(h0) + _difference_bounds(h, h0) for
-    the evaluated anchors h0 at the two ends of its block (the grid L_p norm obeys
-    the triangle inequality), and only the candidates whose smallest bound still
-    reaches the best value so far are evaluated.  The rest are provably lower, so
-    the value is the same grid sup as a scan of every row.
+    other candidate h is also bounded by value(h0) + D for the evaluated anchors h0
+    at the two ends of its block, D bounding Delta_h^k f - Delta_h0^k f: at k = 1
+    by the bound of row |h - h0| / step, whose coefficient moduli it has, else by
+    _difference_bounds.  Only candidates whose smallest bound reaches the best value
+    so far are evaluated; the rest are provably lower, so the value is the grid sup.
     """
     if req.t == 0.0:
         return 0.0
@@ -177,9 +174,7 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     # NaN marks a row that is not evaluated
     values = np.full(hs.size, np.nan)
     values[last] = norms([last])[0]
-    # row h has coefficients a_nu (e^{i nu h} - 1)^k, of modulus |a_nu| |2 sin(nu h / 2)|^k
-    bound = _in_batches(lambda h: _holder_bounds(_sin_form_terms(h, freqs, req.k), amps, req.p),
-                        h_chunk, hs[:last])
+    bound = _row_bounds(hs, freqs, amps, req, h_chunk)
     # a NaN or inf bound keeps its row
     cand = np.flatnonzero(~(bound * (1.0 + _BOUND_SLACK) < values[last]))
     anchors = cand[cand % _ANCHOR_STEP == 0]
@@ -187,14 +182,16 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     best = values[anchors].max(initial=values[last])
     others = cand[cand % _ANCHOR_STEP != 0]
     below = others - others % _ANCHOR_STEP
+    offset = bound[:_ANCHOR_STEP].copy()  # bounds, not values: D's row is translated by h0
     for ends in (below, np.minimum(below + _ANCHOR_STEP, last)):
         near = ~np.isnan(values[ends])
         rows, anchor = others[near], ends[near]
         # overflow only loosens a neighbour bound to inf, or to NaN via 0 * inf, and
         # fmin then keeps the row's other bound
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = _in_batches(lambda h, h0: _difference_bounds(h, h0, freqs, amps, req.k, req.p),
-                               h_chunk, hs[rows], hs[anchor])
+            diff = offset[np.abs(rows - anchor)] if req.k == 1 else _in_batches(
+                lambda h, h0: _difference_bounds(h, h0, freqs, amps, req.k, req.p),
+                h_chunk, hs[rows], hs[anchor])
             bound[rows] = np.fmin(bound[rows], values[anchor] + diff)
     kept = others[~(bound[others] * (1.0 + _BOUND_SLACK) < best)]
     return float(norms(kept).max(initial=best))
@@ -207,6 +204,20 @@ def _in_batches(fn, h_chunk: int, *rows: np.ndarray) -> np.ndarray:
     for lo in range(0, out.size, h_chunk):
         out[lo: lo + h_chunk] = fn(*(r[lo: lo + h_chunk] for r in rows))
     return out
+
+
+def _row_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
+                req: ModulusRequest, h_chunk: int) -> np.ndarray:
+    """_holder_bounds of the rows hs[:-1] of shift_grid(req.t, req.h_samples), with
+    m_nu = |2 sin(nu h / 2)|^k.  Where nu t <= pi, m_nu <= rho^k m_nu(t) as in
+    modulus_p2_exact; m_nu is evaluated for nu t > pi, in batches of h_chunk rows."""
+    terms_t = _sin_form_terms(req.t, freqs, req.k)
+    low, (l2_b, sup_b) = _bucket_sums(freqs, req.t, amps * amps * terms_t,
+                                      np.abs(amps) * np.sqrt(terms_t))
+    ratios = _bucket_ratios(req.k, req.h_samples)
+    return _in_batches(lambda h, l2, sup: _holder_bounds(
+        _sin_form_terms(h, freqs[low:], req.k), amps[low:], req.p, l2, sup),
+        h_chunk, hs[:-1], ratios @ l2_b, np.sqrt(ratios) @ sup_b)
 
 
 def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
@@ -242,25 +253,25 @@ def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
     z = np.multiply.outer(hs, half)
     w = np.multiply.outer(h0s, half)
     m = z - w
-    for arg in (m, z, w) if k > 1 else (m,):
+    for arg in (m, z, w):
         np.sin(arg, out=arg)
         np.abs(arg, out=arg)
         arg *= 2.0
-    if k > 1:
-        # M_1 = m and M_(j+1) = z M_j + m w^j give M_k = m sum_j z^j w^(k-1-j)
-        mw = m.copy()
-        for _ in range(k - 1):
-            mw *= w
-            m *= z
-            m += mw
+    # M_1 = m and M_(j+1) = z M_j + m w^j give M_k = m sum_j z^j w^(k-1-j)
+    mw = m.copy()
+    for _ in range(k - 1):
+        mw *= w
+        m *= z
+        m += mw
     np.multiply(m, m, out=m)
     return _holder_bounds(m, amps, p)
 
 
-def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float) -> np.ndarray:
+def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float, l2_rest=0.0, sup_rest=0.0) -> np.ndarray:
     """Upper bound on the grid L_p norm of each real trigonometric polynomial whose
     coefficient of nu has modulus at most |a_nu| m_nu, from sq = m_nu^2 (one row per
-    polynomial, overwritten).
+    polynomial, overwritten), plus l2_rest and sup_rest, per-row bounds on the two
+    sums below over the frequencies that sq leaves out.
 
     The grid holds every harmonic alias-free, so Parseval gives the grid L_2 norm
     exactly, ||g||_2 <= sqrt(pi sum a_nu^2 m_nu^2), and ||g||_inf <= sum |a_nu| m_nu.
@@ -269,16 +280,15 @@ def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float) -> np.ndarray:
     ||g||_p <= (2 pi)^(1/p - 1/2) ||g||_2 for p <= 2; at p = 2 the bound is the grid
     value itself when m_nu is the exact modulus, up to rounding.
     """
-    l2 = np.sqrt(math.pi * (sq @ (amps * amps)))
+    l2 = np.sqrt(math.pi * (sq @ (amps * amps) + l2_rest))
     if p <= 2.0:
         return TWO_PI ** (1.0 / p - 0.5) * l2
     np.sqrt(sq, out=sq)
-    return l2 ** (2.0 / p) * (sq @ np.abs(amps)) ** (1.0 - 2.0 / p)
+    return l2 ** (2.0 / p) * (sq @ np.abs(amps) + sup_rest) ** (1.0 - 2.0 / p)
 
 
 def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int, scale: int = 0) -> np.ndarray:
-    """(2 sin(nu h / 2) 2^scale)^(2k) with one row per shift h and one column per
-    frequency nu.
+    """(2 sin(nu h / 2) 2^scale)^(2k), one row per shift h and one column per frequency nu.
 
     Built in place; the sin form avoids the cancellation of 2 - 2 cos(nu h) at
     small arguments.  The scale is applied after the sine, so it is exact.
@@ -301,16 +311,30 @@ def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int, scale: int = 0) -
 @lru_cache(maxsize=1)
 def _bucket_ratios(k: int, h_samples: int) -> np.ndarray:
     """Read-only rho^(2k) = (sin(lambda y_b) / sin(y_b))^(2k), one row per lambda =
-    j / (h_samples - 1) with j < h_samples - 1 and one column per bucket top y_b =
-    b pi / (2 _RATIO_BUCKETS).  An underflowed denominator gives an inf or NaN ratio,
-    whose rows are kept."""
-    two_y = np.arange(1, _RATIO_BUCKETS + 1) * (math.pi / _RATIO_BUCKETS)
+    j / (h_samples - 1), j < h_samples - 1, and one column per bucket top y_b = _TWO_Y / 2.
+    An underflowed denominator gives an inf or NaN ratio, whose rows are kept."""
     lam = np.arange(h_samples - 1) / (h_samples - 1)
     # with 2 y_b in place of the frequencies, _sin_form_terms gives (2 sin(lambda y_b))^(2k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = _sin_form_terms(lam, two_y, k) / _sin_form_terms(1.0, two_y, k)
+        ratios = _sin_form_terms(lam, _TWO_Y, k) / _sin_form_terms(1.0, _TWO_Y, k)
     ratios.setflags(write=False)
     return ratios
+
+
+def _bucket_sums(freqs: np.ndarray, t: float, *terms: np.ndarray):
+    """(low, sums): the count of nu with nu t <= pi, and each term array summed per bucket."""
+    ends = np.searchsorted(freqs * t, _TWO_Y, side="right")
+    return ends[-1], [np.diff(np.concatenate(([0.0], np.cumsum(x[:ends[-1]])))[ends], prepend=0.0)
+                      for x in terms]
+
+
+def _scaled_roots(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
+    """sqrt(pi g(h)) per shift h at any k: with x_nu = |a_nu|^(1/k) |2 sin(nu h / 2)| and
+    M its largest, g = M^(2k) sum (x_nu / M)^(2k).  The sum lies in [1, N], so only terms
+    below 2^-1022 of the largest underflow, and M^k overflows only where the value does."""
+    x = np.abs(np.sin(np.multiply.outer(hs, 0.5 * freqs))) * (2.0 * np.abs(amps) ** (1.0 / k))
+    top = x.max(axis=1, initial=np.finfo(float).tiny)  # a zero row (h = 0) then gives 0
+    return np.sqrt(math.pi * ((x / top[:, None]) ** (2 * k)).sum(axis=1)) * top ** k
 
 
 def modulus_p2_exact(series: CosineSeries, k: int, t: float,
@@ -320,10 +344,11 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     sup over the shift grid of sqrt(pi * g(h)), g(h) = sum_nu a_nu^2 (2 sin(nu h / 2))^(2k).
     Serves as the oracle for the grid modulus at p = 2.
 
-    When t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on
-    [0, t], so g peaks at h = t and that row alone is evaluated.  Otherwise supports
-    of at most _EXACT_BLOCK frequencies are scanned in full, and wider ones are
-    pruned with a certificate.  g(t) is evaluated first, with terms
+    From k = 512, where 4^k overflows, every row is scanned by _scaled_roots.  Below
+    it, when t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on [0, t],
+    so g peaks at h = t and that row alone is evaluated.  Otherwise supports of at most
+    _EXACT_BLOCK frequencies are scanned in full, and wider ones are pruned with a
+    certificate.  g(t) is evaluated first, with terms
     T_nu = a_nu^2 (2 sin(nu t / 2))^(2k), and every other shift h = lambda t is
     bounded in two bands:
 
@@ -351,32 +376,30 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     if freqs.size == 0:
         return 0.0
     w = amps * amps
-    if freqs[-1] * t <= math.pi:
+    if freqs[-1] * t <= math.pi and k < 512:
         # at tiny t the terms would be subnormal and lose digits.  The float sine is
         # the identity below 2^-26, so scaling the shift by 2^e, which takes
         # nu_max t into [2^-28, 2^-27), scales every sine factor by exactly 2^e; the
         # factors are then scaled by 2^27 after the sine, which puts the largest in
         # [1/2, 1), and the sup is scaled back by 2^(-k (e + 27))
         e = max(0, -27 - math.frexp(float(freqs[-1]) * t)[1])
-        if e:
-            terms_t = _sin_form_terms(math.ldexp(t, e), freqs, k, 27)
-            e += 27
-        else:
-            terms_t = _sin_form_terms(t, freqs, k)
-        return math.ldexp(math.sqrt(math.pi * float(terms_t @ w)), -k * e)
+        s = 27 if e else 0
+        terms_t = _sin_form_terms(math.ldexp(t, e), freqs, k, s)
+        return math.ldexp(math.sqrt(math.pi * float(terms_t @ w)), -k * (e + s))
 
     hs = shift_grid(t, h_samples)
+    # rows per batch: at most 2**22 entries in each terms matrix
+    h_chunk = max(1, 2**22 // freqs.size)
+    if k >= 512:  # 4^k overflows
+        return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k), h_chunk, hs).max())
     if freqs.size <= _EXACT_BLOCK:
         return math.sqrt(math.pi * float((_sin_form_terms(hs, freqs, k) @ w).max()))
 
     terms_t = _sin_form_terms(t, freqs, k)
     top = float(terms_t @ w)
     # low band: T summed per bucket, each sum times rho^(2k)
-    ends = np.searchsorted(freqs * t, np.arange(1, _RATIO_BUCKETS + 1) * (math.pi / _RATIO_BUCKETS),
-                           side="right")
-    low = ends[-1]
-    cum_t = np.concatenate(([0.0], np.cumsum(terms_t[:low] * w[:low])))
-    bound = _bucket_ratios(k, h_samples) @ np.diff(cum_t[ends], prepend=0.0)
+    low, (sums,) = _bucket_sums(freqs, t, terms_t * w)
+    bound = _bucket_ratios(k, h_samples) @ sums
     f_hi = freqs[low:].astype(float)
     w_hi = w[low:]
     rest = hs[:-1]
@@ -391,8 +414,5 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         m = np.searchsorted(f_hi, 2.0 / h)
         bound[pos] += h ** (2 * k) * prefix[m] + np.power(4.0, k) * suffix[m]
     kept = rest[~(bound * (1.0 + _BOUND_SLACK) < top)]
-    # rows per batch: at most 2**22 entries in each terms matrix; one batch up to 2**14
-    # frequencies
-    h_chunk = max(1, 2**22 // freqs.size)
     top = _in_batches(lambda h: _sin_form_terms(h, freqs, k) @ w, h_chunk, kept).max(initial=top)
     return math.sqrt(math.pi * top)

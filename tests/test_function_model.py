@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -261,9 +262,9 @@ def sin_form_calls(monkeypatch):
     calls = []
     real = function_model._sin_form_terms
 
-    def counting(hs, freqs, k):
+    def counting(hs, freqs, *args, **kwargs):
         calls.append((np.size(hs), np.size(freqs)))
-        return real(hs, freqs, k)
+        return real(hs, freqs, *args, **kwargs)
 
     monkeypatch.setattr(function_model, "_sin_form_terms", counting)
     return calls
@@ -344,6 +345,31 @@ class TestModulusP2Pruned:
             want = oracles.mp_modulus_p2(freqs, amps, k, t, 33)
             assert modulus_p2_exact(ser, k, t, 33) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_order_past_511_matches_mpmath(self):
+        # 4**k overflows from k = 512, though the modulus is below 2**600 sqrt(pi sum a^2)
+        ser = power_law_series(2.0, 256)
+        freqs, amps = ser.support()
+        want = oracles.mp_modulus_p2(freqs, amps, 600, 0.5, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modulus_p2_exact(ser, 600, 0.5, 17)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("coeffs, k, t", [
+        ([1.0], 512, 0.9),  # sqrt(pi) (2 sin 0.45)^512, about 1.8e-31: one row
+        (1.0 / np.arange(1, 257) ** 2, 512, 0.003),  # nu_max t = 0.768: one row
+        ([1e-200, 0.0, 1.0], 800, 2.0),  # a_1^2 underflows; the sup is near 1e240
+    ])
+    def test_order_past_511_where_every_factor_is_small_matches_mpmath(self, coeffs, k, t):
+        # a fixed scale of 1/2 on every sine factor underflows the first two values to 0
+        ser = CosineSeries(np.asarray(coeffs, dtype=float))
+        freqs, amps = ser.support()
+        want = oracles.mp_modulus_p2(freqs, amps, k, t, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modulus_p2_exact(ser, k, t, 17)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_power_law_evaluates_few_full_rows(self, sin_form_calls):
         ser = power_law_series(1.5, 2048)
         for nu in range(1, 1025):
@@ -422,6 +448,13 @@ class TestModulusP2Monotone:
     def test_evaluates_the_last_row_only(self, sin_form_calls, ser, t):
         modulus_p2_exact(ser, 3, t)
         assert sin_form_calls == [(1, ser.support()[0].size)]
+
+    def test_tiny_t_evaluates_one_scaled_row(self, sin_form_calls):
+        rng = np.random.default_rng(7)
+        freqs = np.cumsum(rng.integers(1, 5, 200))
+        ser = CosineSeries.from_support(freqs, rng.uniform(0.01, 1.0, 200), int(freqs[-1]))
+        modulus_p2_exact(ser, 1, 1e-200, 17)
+        assert sin_form_calls == [(1, 200)]
 
     @pytest.mark.parametrize("k", [19, 30])
     def test_tiny_t_at_high_order_matches_mpmath(self, k):
@@ -543,6 +576,27 @@ class TestModulusPruned:
         modulus(power_law_series(2.0, 256), ModulusRequest(k=1, t=1.0 / 16, p=3.0), 4096)
         assert sum(irfft_rows) <= 20
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_k1_sup_one_row_past_an_anchor(self, p):
+        # |2 sin(6 h)| peaks 0.045 shifts past row 209 = 13 * 16 + 1, 0.5 shifts before
+        # the last row and 1.045 past the anchor row 208: row 209's neighbour bound from
+        # that anchor is value(208) + the bound of row 1, and with row 0's bound (0)
+        # there, row 209 fell below the last row and was pruned
+        coeffs, t = harmonic(12).coeffs, 11 * 256 * math.pi / (255.5 * 12)
+        n = auto_grid_size(CosineSeries(coeffs))
+        got = modulus(CosineSeries(coeffs), ModulusRequest(k=1, t=t, p=p), n)
+        last = oracles.modulus_grid_full_scan(coeffs, 1, t, p, 2, n)
+        assert got > last * (1 + 1e-4)
+        assert got == pytest.approx(oracles.modulus_grid_full_scan(coeffs, 1, t, p, 257, n),
+                                    rel=1e-12, abs=0.0)
+
+    def test_power_law_table_at_p3_evaluates_few_rows(self, irfft_rows):
+        # omega(1 / nu) for nu = 1..256: 13.02 grid rows per call, the h = t row included
+        ser = power_law_series(2.0, 256)
+        for nu in range(1, 257):
+            modulus(ser, ModulusRequest(k=1, t=1.0 / nu, p=3.0), 4096)
+        assert sum(irfft_rows) / 256 <= 13.1
+
     @given(coeffs=_signed_support(120, 400), k=st.sampled_from([1, 2, 3]),
            t=st.floats(0.0, math.pi, exclude_min=True), p=st.sampled_from([1.5, 3.0, 4.0]))
     @settings(max_examples=30, deadline=None)
@@ -574,3 +628,41 @@ def test_difference_bound_covers_the_row_difference(coeffs, k, p, h, h0, oversam
     # rounding of the 2^k pointwise syntheses, whose cosine arguments reach 5 pi nu_max
     slack = 1e-13 * 2.0 ** k * float(np.sum(np.abs(amps))) * freqs[-1]
     assert oracles.brute_lp_norm(gap, p) <= bound * (1.0 + 1e-12) + slack
+
+
+@st.composite
+def _straddling_case(draw):
+    """A signed support of 2 to 300 frequencies and a step bound t with pi / t between
+    its lowest and its highest frequency, so both bands of the row bound are used."""
+    coeffs = draw(_signed_support(2, 300))
+    freqs = np.flatnonzero(coeffs) + 1
+    u = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return coeffs, math.pi / (freqs[0] + u * (freqs[-1] - freqs[0]))
+
+
+@given(case=_straddling_case(), k=st.sampled_from([1, 2, 3]),
+       p=st.sampled_from([1.5, 2.0, 3.0, 7.0]), h_samples=st.sampled_from([16, 17, 257]))
+@settings(max_examples=60, deadline=None)
+def test_row_bounds_cover_the_hoelder_bound_of_each_row(case, k, p, h_samples):
+    coeffs, t = case
+    freqs, amps = CosineSeries(coeffs).support()
+    req = ModulusRequest(k=k, t=t, p=p, h_samples=h_samples)
+    hs = function_model.shift_grid(t, h_samples)
+    got = function_model._row_bounds(hs, freqs, amps, req, 5)
+    want = function_model._holder_bounds(function_model._sin_form_terms(hs[:-1], freqs, k), amps, p)
+    assert np.all(got >= want * (1.0 - 1e-12))
+
+
+@given(case=_straddling_case(), p=st.sampled_from([1.5, 2.0, 3.0, 7.0]), block=st.integers(0, 15))
+@settings(max_examples=60, deadline=None)
+def test_row_bound_at_the_offset_covers_the_k1_difference_bound(case, p, block):
+    # every pair of shift rows (j, j0) within one anchor block of the 257-row grid, its
+    # two anchors included
+    coeffs, t = case
+    freqs, amps = CosineSeries(coeffs).support()
+    req = ModulusRequest(k=1, t=t, p=p, h_samples=257)
+    hs = function_model.shift_grid(t, 257)
+    bound = function_model._row_bounds(hs, freqs, amps, req, 64)
+    j, j0 = (a.ravel() for a in np.meshgrid(*2 * [np.arange(16 * block, 16 * block + 17)]))
+    diff = function_model._difference_bounds(hs[j], hs[j0], freqs, amps, 1, p)
+    assert np.all(diff <= bound[np.abs(j - j0)] * (1.0 + 1e-12))
