@@ -61,16 +61,39 @@ def power_sum_tail(c: float, q: float, start: float) -> float:
     return float(c * (head + tail))
 
 
+def _head_sum(series: CosineSeries, n: int, q: float, e: float) -> float:
+    """sum_{nu <= n} a_nu^q nu^e over the support; past n_stored, over the dense
+    coeffs_upto(n) with the tail model's terms (refused above DENSE_LIMIT)."""
+    if series.tail is not None and n > series.n_stored:
+        coeffs, nus = series.coeffs_upto(n), np.arange(1, n + 1)
+    else:
+        freqs, amps = series.support()
+        m = freqs.searchsorted(n, side="right")
+        coeffs, nus = amps[:m], freqs[:m]
+    return float(np.sum(coeffs ** q * nus ** float(e)))  # int nu^e would wrap
+
+
+def _tail_sum(series: CosineSeries, start: int, q: float, e: float) -> float:
+    """sum_{nu >= start} a_nu^q nu^e over the support, plus the power-law tail in closed
+    form from max(start, n_stored + 1): inf if it diverges (c > 0, s q - e <= 1)."""
+    freqs, amps = series.support()
+    i = freqs.searchsorted(start)
+    terms = amps[i:] ** q
+    if e:  # skip the no-op factor: l2_tail_sq (e = 0) runs per omega-table row
+        terms = terms * freqs[i:] ** float(e)
+    total, t = float(np.sum(terms)), series.tail
+    if t is None or t.c == 0.0:
+        return total
+    if t.s * q - e <= 1.0:
+        return math.inf
+    return total + power_sum_tail(t.c ** q, t.s * q - e, max(start, series.n_stored + 1))
+
+
 def l2_tail_sq(series: CosineSeries, start: int) -> float:
-    """sum_{nu >= start} a_nu^2, stored part plus closed-form power-law tail."""
+    """sum_{nu >= start} a_nu^2: _tail_sum at q = 2, e = 0."""
     if start < 1:
         raise DomainError("tail start must be >= 1")
-    freqs, amps = series.support()
-    stored = float(np.sum(amps[freqs >= start] ** 2))
-    if series.tail is None:
-        return stored
-    t = series.tail
-    return stored + power_sum_tail(t.c ** 2, 2.0 * t.s, max(start, series.n_stored + 1))
+    return _tail_sum(series, start, 2, 0)
 
 
 def best_approx(series: CosineSeries, n: int, p: float) -> ApproxResult:
@@ -120,7 +143,8 @@ class ModulusBracket:
 
 
 def modulus_bounds_monotone(series: CosineSeries, n: int, k: int, p: float) -> ModulusBracket:
-    """Coefficient-side bracket of the modulus at step 1/n for a monotone series."""
+    """Coefficient-side bracket of the modulus at step 1/n for a monotone series, from
+    the shared power sums; the tail term is inf where the power-law tail diverges."""
     if series.tag != "monotone":
         raise TagError(f"modulus bracket requires tag 'monotone', got {series.tag!r}")
     if n < 1:
@@ -129,21 +153,9 @@ def modulus_bounds_monotone(series: CosineSeries, n: int, k: int, p: float) -> M
         raise DomainError(f"exponent p must lie in (1, inf), got {p}")
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"order k must be a positive integer, got {k}")
-
-    head_coeffs = series.coeffs_upto(n)
-    nus = np.arange(1, n + 1, dtype=float)
-    head_sum = float(np.sum(head_coeffs ** p * nus ** ((k + 1) * p - 2)))
-    head = n ** (-float(k)) * head_sum ** (1.0 / p)
-
-    freqs, amps = series.support()
-    beyond = freqs > n
-    tail_sum = float(np.sum(amps[beyond] ** p * freqs[beyond] ** (p - 2)))
-    if series.tail is not None:
-        t = series.tail
-        q = t.s * p - (p - 2)
-        tail_sum += power_sum_tail(t.c ** p, q, max(n + 1, series.n_stored + 1))
-    tail = tail_sum ** (1.0 / p)
-    return ModulusBracket(head_term=head, tail_term=tail)
+    return ModulusBracket(
+        head_term=n ** (-float(k)) * _head_sum(series, n, p, (k + 1) * p - 2) ** (1.0 / p),
+        tail_term=_tail_sum(series, n + 1, p, p - 2) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -159,7 +171,7 @@ def zygmund_norm_bounds(series: CosineSeries, p: float) -> NormEquivalenceReport
     """
     if series.tag != "lacunary":
         raise TagError(f"norm equivalence requires tag 'lacunary', got {series.tag!r}")
-    l2 = math.sqrt(float(np.sum(series.support()[1] ** 2)))
+    l2 = math.sqrt(l2_tail_sq(series, 1))
     if l2 == 0.0:
         raise DivideByZeroError("zero lacunary series has no norm ratio")
     if p == 2.0:

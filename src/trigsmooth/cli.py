@@ -100,7 +100,7 @@ CONFIG_KEYS = {
     "ineq.m_values": ([int], (2,)),
     "ineq.n_values": ([int], (32, 128)),
     "ineq.variants": ([str], ("tail", "head")),
-    "ineq.jensen_cases": (int, 100),
+    "ineq.jensen_cases": (int, 100, lambda v: v >= 0, "ineq.jensen_cases must be >= 0, got {}"),
     "ineq.jensen_len": (int, 32, lambda v: v >= 0, "ineq.jensen_len must be non-negative, got {}"),
 }
 

@@ -35,7 +35,6 @@ _TWO_Y = np.arange(1, _RATIO_BUCKETS + 1) * (math.pi / _RATIO_BUCKETS)
 #: most shift samples accepted: the shift grid and the cached bucket ratios of
 #: modulus_p2_exact then hold at most DENSE_LIMIT entries
 MAX_H_SAMPLES = DENSE_LIMIT // _RATIO_BUCKETS + 1
-_H_SAMPLES_RANGE = f"h_samples must be at least 16 and at most {MAX_H_SAMPLES}"
 #: relative slack on the row bounds of both moduli, so rounding cannot prune a row
 #: that ties the best row evaluated so far
 _BOUND_SLACK = 1e-9
@@ -62,7 +61,7 @@ class ModulusRequest:
         if not (1.0 < self.p < math.inf):
             raise ConstraintViolation(f"exponent p must lie in (1, inf), got {self.p}")
         if not 16 <= self.h_samples <= MAX_H_SAMPLES:
-            raise ConstraintViolation(_H_SAMPLES_RANGE)
+            raise ConstraintViolation(f"h_samples must be at least 16 and at most {MAX_H_SAMPLES}")
 
 
 def _check_grid(series: CosineSeries, n: int) -> None:
@@ -342,7 +341,8 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     """Closed-form p = 2 modulus via Parseval, no spatial grid.
 
     sup over the shift grid of sqrt(pi * g(h)), g(h) = sum_nu a_nu^2 (2 sin(nu h / 2))^(2k).
-    Serves as the oracle for the grid modulus at p = 2.
+    Serves as the oracle for the grid modulus at p = 2.  k, t and h_samples are
+    checked as a ModulusRequest; a bad one raises DomainError with its message.
 
     From k = 512, where 4^k overflows, every row is scanned by _scaled_roots.  Below
     it, when t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on [0, t],
@@ -364,12 +364,10 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     in full; the rest are provably below it, so the value is the same grid sup as
     a full scan, up to floating-point summation order.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise DomainError(f"difference order k must be a positive integer, got {k}")
-    if not (0.0 <= t <= math.pi):
-        raise DomainError(f"step bound t must lie in [0, pi], got {t}")
-    if not 16 <= h_samples <= MAX_H_SAMPLES:
-        raise DomainError(_H_SAMPLES_RANGE)
+    try:
+        ModulusRequest(k, t, 2.0, h_samples)
+    except ConstraintViolation as exc:
+        raise DomainError(str(exc)) from None
     if t == 0.0:
         return 0.0
     freqs, amps = series.support()

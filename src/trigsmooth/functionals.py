@@ -8,9 +8,10 @@ All four forms sample the same object at scale 1/n:
   modulus frozen at w(1/nu) on each cell;
 - series form over moduli: (sum_{nu>n} w(1/nu)^th nu^{r*th-1}
   + n^{-l*th} sum_{nu<=n} w(1/nu)^th nu^{(r+l)*th-1})^{1/th};
-- coefficient form for monotone series: the same shape with w(1/nu) replaced by
-  a_nu nu^{1-1/p};
-- coefficient form for lacunary series and the dyadic best-approximation form.
+- coefficient forms: the same shape with w(1/nu)^th nu^{-1} replaced by
+  a_nu^th nu^shift, shift = th - th/p - 1 for monotone series and 0 for lacunary
+  ones, both summed by _coefficient_form;
+- the dyadic best-approximation form.
 
 Infinite sums are truncated with a fitted power-law remainder added back. The
 record functions (integral_record, series_record, dyadic_record) return the value
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximation import best_approx, power_sum_tail
-from .core import ClassParams, CosineSeries, FunctionalCurve, MajorantPhi
+from .approximation import _head_sum, _tail_sum, best_approx, power_sum_tail
+from .core import DENSE_LIMIT, ClassParams, CosineSeries, FunctionalCurve, MajorantPhi
 from .errors import DomainError, TagError
 from .function_model import (
     DEFAULT_H_SAMPLES,
@@ -84,7 +85,9 @@ class ModulusTable:
         return val
 
     def omega_upto(self, nu_max: int) -> np.ndarray:
-        """Array of w(1/nu) for nu = 1..nu_max."""
+        """Array of w(1/nu) for nu = 1..nu_max; DomainError above DENSE_LIMIT entries."""
+        if nu_max > DENSE_LIMIT:
+            raise DomainError(f"omega range {nu_max} exceeds the limit of {DENSE_LIMIT} entries")
         return np.array([self.omega_at(nu) for nu in range(1, nu_max + 1)])
 
 
@@ -198,59 +201,34 @@ def series_form(series: CosineSeries, params: ClassParams, n: int,
     return series_record(series, params, n, nu_max, table).value
 
 
-def monotone_coefficient_form(series: CosineSeries, params: ClassParams, n: int) -> float:
-    """Coefficient form of the class functional for monotone series.
+def _coefficient_form(series: CosineSeries, params: ClassParams, n: int, shift: float) -> float:
+    """(sum_{nu>n} a_nu^th nu^{r*th+shift}
+     + n^{-l*th} sum_{nu<=n} a_nu^th nu^{(r+l)*th+shift})^{1/th}, tail model included."""
+    th, r, lam = params.theta, params.r, params.lam
+    tail = _tail_sum(series, n + 1, th, r * th + shift)
+    head = _head_sum(series, n, th, (r + lam) * th + shift)
+    return float((tail + float(n) ** (-lam * th) * head) ** (1.0 / th))
 
-    (sum_{nu>n} a_nu^th nu^{r*th + th - th/p - 1}
-     + n^{-l*th} sum_{nu<=n} a_nu^th nu^{(r+l)*th + th - th/p - 1})^{1/th},
-    with the tail summed in closed form when an analytic power-law tail is present.
-    """
+
+def monotone_coefficient_form(series: CosineSeries, params: ClassParams, n: int) -> float:
+    """Coefficient form for monotone series: _coefficient_form with shift th - th/p - 1;
+    inf when the power-law tail's sum diverges (c > 0 and s*th <= r*th + th - th/p)."""
     if series.tag != "monotone":
         raise TagError(f"coefficient form requires tag 'monotone', got {series.tag!r}")
     if n < 1:
         raise DomainError("n must be >= 1")
-    th, r, lam, p = params.theta, params.r, params.lam, params.p
-    e_tail = r * th + th - th / p - 1.0
-    e_head = (r + lam) * th + th - th / p - 1.0
-
-    head_coeffs = series.coeffs_upto(n)
-    nus_head = np.arange(1, n + 1, dtype=float)
-    head = float(np.sum(head_coeffs ** th * nus_head ** e_head))
-
-    freqs, amps = series.support()
-    beyond = freqs > n
-    tail = float(np.sum(amps[beyond] ** th * freqs[beyond] ** e_tail))
-    if series.tail is not None:
-        t = series.tail
-        q = t.s * th - e_tail
-        start = max(n + 1, series.n_stored + 1)
-        if q <= 1.0:  # the functional diverges
-            return math.inf
-        tail += power_sum_tail(t.c ** th, q, start)
-
-    return float((tail + float(n) ** (-lam * th) * head) ** (1.0 / th))
+    th = params.theta
+    return _coefficient_form(series, params, n, th - th / params.p - 1.0)
 
 
 def lacunary_coefficient_form(series: CosineSeries, params: ClassParams, m: int) -> float:
-    """Coefficient form for lacunary series, reduced to a sum over levels.
-
-    The frequency-indexed sums collapse to the levels mu with 2**mu > m (tail)
-    and 2**mu <= m (head), since all other coefficients vanish.
-    """
+    """Coefficient form for lacunary series: _coefficient_form with shift 0, whose sums
+    run over the levels mu with 2**mu > m (tail) and 2**mu <= m (head)."""
     if series.tag != "lacunary":
         raise TagError(f"lacunary form requires tag 'lacunary', got {series.tag!r}")
     if m < 1:
         raise DomainError("m must be >= 1")
-    th, r, lam = params.theta, params.r, params.lam
-    a_mu = series.lacunary_view()
-    if a_mu.size == 0:
-        return 0.0
-    mus = np.arange(a_mu.size, dtype=float)
-    freqs = 2.0 ** mus
-    in_head = freqs <= m
-    head = float(np.sum(a_mu[in_head] ** th * 2.0 ** (mus[in_head] * (r + lam) * th)))
-    tail = float(np.sum(a_mu[~in_head] ** th * 2.0 ** (mus[~in_head] * r * th)))
-    return float((tail + float(m) ** (-lam * th) * head) ** (1.0 / th))
+    return _coefficient_form(series, params, m, 0.0)
 
 
 def dyadic_record(series: CosineSeries, params: ClassParams, n: int,

@@ -175,6 +175,11 @@ class TestConfigKeys:
         cfg = write_cfg(tmp_path, "ineq.lemmas = jensen\nineq.jensen_len = -1\n")
         assert main(["ineq-sweep", "--config", cfg]) == 2
 
+    def test_negative_jensen_cases_exits_2_and_names_the_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "ineq.lemmas = jensen\nineq.jensen_cases = -3\n")
+        assert main(["ineq-sweep", "--config", cfg]) == 2
+        assert "ineq.jensen_cases must be >= 0, got -3" in capsys.readouterr().err
+
     def test_negative_bandlimited_frequency_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE_CFG.replace("power:2:256", "random_bandlimited:-1")
                         .replace("series.tag = monotone", "series.tag = general"))
@@ -339,6 +344,20 @@ class TestEquivalenceCommand:
         cfg = write_cfg(tmp_path, BASE_CFG)
         assert main(["equivalence", "--config", cfg, "--max-nu", "8"]) == 3
         assert "quad_points must be at least 4n = 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, flags", [("", ["--max-nu", "33554432"]),
+                                              ("sweep.n_values = 2,4194305\n", [])])
+    def test_omega_range_past_the_dense_limit_exits_3(self, tmp_path, capsys, monkeypatch,
+                                                      extra, flags):
+        from trigsmooth import functionals
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(functionals, "modulus_p2_exact", kernel)
+        cfg = write_cfg(tmp_path, BASE_CFG + extra)
+        assert main(["equivalence", "--config", cfg, *flags]) == 3
+        assert "exceeds the limit of 16777216 entries" in capsys.readouterr().err
 
     DIVERGENT_TAIL_CFG = BASE_CFG + "series.tail = power:1:0.75\n"
 

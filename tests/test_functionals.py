@@ -22,12 +22,14 @@ from trigsmooth import (
     lacunary_series,
     membership_of_values,
     membership_test,
+    modulus_bounds_monotone,
     modulus_p2_exact,
     monotone_coefficient_form,
     power_law_series,
     series_form,
     validate_params,
 )
+from trigsmooth.approximation import _head_sum, _tail_sum
 from trigsmooth.core import FunctionalCurve
 from trigsmooth.functionals import dyadic_record, integral_record, series_record
 
@@ -410,3 +412,121 @@ class TestSixtyOneLevels:
         for t in (math.pi, 1.0, 1e-3, 2.0 ** -40):
             want = oracles.mp_modulus_p2(freqs, amps, k, t, 33)
             assert modulus_p2_exact(ser, k, t, 33) == pytest.approx(want, rel=1e-12)
+
+
+def _brute_head(coeffs, n, q, e):
+    return math.fsum(a ** q * nu ** e for nu, a in enumerate(coeffs[:n], 1) if a != 0.0)
+
+
+def _brute_tail(coeffs, start, q, e):
+    return math.fsum(a ** q * nu ** e for nu, a in enumerate(coeffs, 1) if nu >= start and a != 0.0)
+
+
+@st.composite
+def _tail_free_support(draw):
+    """(series, q): a general support with gaps at q = 2, a monotone support (1..m, then
+    zeros up to n_stored) or a lacunary one with vanishing levels, at any q."""
+    kind = draw(st.sampled_from(["general", "monotone", "lacunary"]))
+    amp = st.floats(1e-3, 10.0)
+    if kind == "general":
+        n_stored = draw(st.integers(1, 300))
+        freqs = sorted(draw(st.sets(st.integers(1, n_stored), max_size=60)))
+        amps = [draw(amp) * draw(st.sampled_from([-1.0, 1.0])) for _ in freqs]
+        return CosineSeries.from_support(freqs, amps, n_stored), 2.0
+    q = draw(st.floats(0.25, 4.0))
+    if kind == "monotone":
+        n_stored = draw(st.integers(1, 300))
+        amps = sorted(draw(st.lists(amp, max_size=n_stored)), reverse=True)
+        coeffs = np.concatenate((amps, np.zeros(n_stored - len(amps))))
+        return CosineSeries(coeffs, tag="monotone"), q
+    levels = draw(st.lists(st.one_of(st.just(0.0), amp), min_size=1, max_size=14))
+    return lacunary_series(levels), q
+
+
+class TestSharedPowerSums:
+    """_head_sum and _tail_sum, the sums under both coefficient forms, the modulus
+    bracket and l2_tail_sq."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tail_free_support(), st.floats(-3.0, 3.0), st.integers(0, 2), st.data())
+    def test_tail_free_sums_match_brute_force(self, case, e, where, data):
+        # n below, at and above n_stored
+        ser, q = case
+        n = (data.draw(st.integers(1, max(ser.n_stored - 1, 1))), ser.n_stored,
+             data.draw(st.integers(ser.n_stored + 1, 2 * ser.n_stored + 2)))[where]
+        coeffs = ser.coeffs
+        assert _head_sum(ser, n, q, e) == pytest.approx(_brute_head(coeffs, n, q, e), rel=1e-13)
+        assert (_tail_sum(ser, n + 1, q, e)
+                == pytest.approx(_brute_tail(coeffs, n + 1, q, e), rel=1e-13))
+
+    @pytest.mark.parametrize("c, s, q, e", [(1.0, 2.0, 2.0, 0.0), (2.5, 1.5, 1.0, 0.25),
+                                            (0.5, 0.75, 3.0, -0.5), (1.0, 1.2, 1.5, 0.5)])
+    @pytest.mark.parametrize("start", [1, 17, 64, 65, 300])
+    def test_power_law_tail_against_hurwitz_zeta(self, c, s, q, e, start):
+        n_stored = 64
+        coeffs = c * np.arange(1, n_stored + 1, dtype=float) ** -s
+        ser = CosineSeries(coeffs, tail=PowerLawTail(c, s))
+        want = (_brute_tail(coeffs, start, q, e)
+                + c ** q * hurwitz_zeta(s * q - e, max(start, n_stored + 1)))
+        assert _tail_sum(ser, start, q, e) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [64, 65, 100, 1000])
+    def test_head_extends_through_the_tail_model(self, n):
+        c, s, q, e = 2.5, 1.5, 1.5, 0.75
+        coeffs = np.arange(1, 65, dtype=float) ** -2.0  # stored part off the tail model
+        ser = CosineSeries(coeffs, tail=PowerLawTail(c, s))
+        want = _brute_head(coeffs, n, q, e) + math.fsum(
+            (c * nu ** -s) ** q * nu ** e for nu in range(65, n + 1))
+        assert _head_sum(ser, n, q, e) == pytest.approx(want, rel=1e-13)
+
+    def test_head_past_the_dense_limit_is_refused(self):
+        from trigsmooth import DomainError
+        from trigsmooth.core import DENSE_LIMIT
+        ser = power_law_series(2.0, 8)
+        with pytest.raises(DomainError, match="exceed the limit"):
+            _head_sum(ser, DENSE_LIMIT + 1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("s", [0.75, 1.0])
+    def test_divergent_tail_gives_inf_in_the_form(self, s):
+        # p = 2, theta = 1, r = 1/2: the form's tail exponent is s
+        ser = CosineSeries(np.arange(1, 9, dtype=float) ** -s, tag="monotone",
+                           tail=PowerLawTail(1.0, s))
+        assert monotone_coefficient_form(ser, PARAMS, 4) == math.inf
+
+    @pytest.mark.parametrize("s, p", [(0.6, 3.0), (0.75, 4.0)])
+    def test_divergent_tail_gives_inf_in_the_bracket(self, s, p):
+        # the bracket's tail exponent s p - (p - 2) is 0.8 and 1
+        ser = CosineSeries(np.arange(1, 9, dtype=float) ** -s, tag="monotone",
+                           tail=PowerLawTail(1.0, s))
+        bracket = modulus_bounds_monotone(ser, 4, 1, p)
+        assert bracket.tail_term == math.inf and math.isfinite(bracket.head_term)
+
+    @pytest.mark.parametrize("n", [4, 8, 100])
+    def test_zero_amplitude_tail_adds_nothing(self, n):
+        coeffs = np.arange(1, 9, dtype=float) ** -0.75
+        bare = CosineSeries(coeffs, tag="monotone")
+        ser = CosineSeries(coeffs, tag="monotone", tail=PowerLawTail(0.0, 0.75))
+        assert monotone_coefficient_form(ser, PARAMS, n) == pytest.approx(
+            monotone_coefficient_form(bare, PARAMS, n), rel=1e-14)
+        assert modulus_bounds_monotone(ser, n, 1, 3.0).value == pytest.approx(
+            modulus_bounds_monotone(bare, n, 1, 3.0).value, rel=1e-14)
+        assert math.isfinite(monotone_coefficient_form(ser, PARAMS, n))
+
+
+class TestOmegaRangeLimit:
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_omega_upto_refuses_more_than_dense_limit_before_any_kernel_call(
+            self, monkeypatch, p):
+        from trigsmooth import DomainError, functionals
+        from trigsmooth.core import DENSE_LIMIT
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(functionals, "modulus_p2_exact", kernel)
+        monkeypatch.setattr(functionals, "modulus", kernel)
+        table = ModulusTable(power_law_series(2.0, 16), 1, p)
+        with pytest.raises(DomainError, match=f"exceeds the limit of {DENSE_LIMIT}"):
+            table.omega_upto(DENSE_LIMIT + 1)
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            series_form(power_law_series(2.0, 16), PARAMS, DENSE_LIMIT // 4 + 1)
