@@ -53,7 +53,8 @@ class ModulusRequest:
     h_samples: int = DEFAULT_H_SAMPLES
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+        if not (isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool)
+                and self.k >= 1):
             raise ConstraintViolation(f"difference order k must be a positive integer, got {self.k}")
         # t = 0 is allowed as the degenerate endpoint (the modulus is then 0)
         if not (0.0 <= self.t <= math.pi):

@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from trigsmooth import inequalities as iq
 from trigsmooth import modulus_p2_exact, power_law_series
-from trigsmooth.cli import CONFIG_KEYS, main, parse_flat_config
+from trigsmooth.cli import CONFIG_KEYS, INEQ_COLUMNS, Report, main, parse_flat_config, render_csv
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -548,3 +551,81 @@ def test_cli_import_does_not_load_scipy():
          "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+class TestIneqSweepOracle:
+    """The block-evaluated sweep against a per-case loop over the public checkers."""
+
+    GRID = {"families": ["power", "geometric", "log_power", "random"],
+            "alpha_values": [0.5, 2.0], "lambda_values": [-0.5, 0.5],
+            "variants": ["tail", "head"], "jensen_cases": 20, "jensen_len": 16}
+    CONFIGS = [
+        # every lemma; n = 8 < 16m skips the reverse-Copson p >= 1 clause
+        dict(GRID, lemmas=["jensen", "hardy_upper", "hardy_lower", "reverse_copson",
+                           "two_sided"], p_values=[1.0, 2.5], p_lower_values=[0.5, 1.0],
+             m_values=[1, 2], n_values=[8, 40]),
+        # n = 10 < 4m skips the 0 < p <= 1 clause, and n < 16m the p >= 1 one
+        dict(GRID, lemmas=["reverse_copson", "two_sided", "jensen"], p_values=[0.5, 2.0],
+             m_values=[3], n_values=[10, 64]),
+    ]
+
+    @staticmethod
+    def cfg_text(cfg):
+        return "".join(f"ineq.{key} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+                       for key, v in cfg.items())
+
+    @staticmethod
+    def oracle_csv(cfg, seed):
+        rows = []
+        for lemma in cfg["lemmas"]:
+            if lemma == "jensen":
+                for _ in range(cfg["jensen_cases"]):
+                    rng = iq.case_rng(seed, len(rows))
+                    exps = np.sort(rng.uniform(0.1, 4.0, size=2))
+                    alpha, beta = float(exps[0]), float(max(exps[1], exps[0] + 1e-3))
+                    v = iq.check_jensen(rng.random(cfg["jensen_len"]), alpha, beta)
+                    rows.append(["jensen", "", alpha, 0.0, beta, 1, cfg["jensen_len"], v.lhs,
+                                 v.rhs, v.ratio, len(rows), "ok", v.direction, v.clause])
+                continue
+            ps = cfg["p_lower_values"] if lemma == "hardy_lower" else cfg["p_values"]
+            for family, alpha, lam, p, m, n, variant in itertools.product(
+                    cfg["families"], cfg["alpha_values"], cfg["lambda_values"], ps,
+                    cfg["m_values"], cfg["n_values"], cfg["variants"]):
+                used = len(rows) if family == "random" else None
+                seq = (iq.random_monotone_sequence(iq.case_rng(seed, used), n) if used is not None
+                       else iq.SEQUENCE_FAMILIES[family](n))
+                case = iq.IneqCase(seq=seq, alpha=alpha, lam_exp=lam, p=p, m=m, n=n)
+                base = [lemma, variant, alpha, lam, p, m, n]
+                try:
+                    v = {"hardy_upper": iq.check_hardy_upper, "hardy_lower": iq.check_hardy_lower,
+                         "reverse_copson": iq.check_reverse_copson,
+                         "two_sided": lambda c, var: replace(iq.check_two_sided_asymp(c, var)[0],
+                                                             direction="two-sided"),
+                         }[lemma](case, variant)
+                except iq.PreconditionError as exc:
+                    rows.append(base + [0.0, 0.0, 0.0, used, "skip", "",
+                                        str(exc).replace(",", ";")])
+                    continue
+                rows.append(base + [v.lhs, v.rhs, v.ratio, used, "ok", v.direction, v.clause])
+        return render_csv(Report(columns=INEQ_COLUMNS, rows=rows,
+                                 comments=[f"seed={seed} cases={len(rows)}"]))
+
+    @pytest.mark.parametrize("index", range(len(CONFIGS)))
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_csv_is_byte_identical_to_per_case_checks(self, tmp_path, index, seed):
+        cfg = self.CONFIGS[index]
+        out = tmp_path / "sweep.csv"
+        assert main(["ineq-sweep", "--config", write_cfg(tmp_path, self.cfg_text(cfg)),
+                     "--seed", str(seed), "--out", str(out), "--quiet"]) == 0
+        text = out.read_text()
+        assert ",skip," in text and ",two-sided," in text
+        assert text == self.oracle_csv(cfg, seed)
+
+    @pytest.mark.parametrize("extra, message", [
+        ("ineq.p_values = 2,0.5\n", "error: upper Hardy bound needs p >= 1, got 0.5"),
+        ("ineq.m_values = 4\nineq.n_values = 8,4\n", "error: need m < n"),
+    ])
+    def test_hardy_upper_domain_errors_exit_3(self, tmp_path, capsys, extra, message):
+        cfg = write_cfg(tmp_path, "ineq.lemmas = jensen,hardy_upper,reverse_copson\n" + extra)
+        assert main(["ineq-sweep", "--config", cfg]) == 3
+        assert capsys.readouterr().err.strip() == message

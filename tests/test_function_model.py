@@ -666,3 +666,14 @@ def test_row_bound_at_the_offset_covers_the_k1_difference_bound(case, p, block):
     j, j0 = (a.ravel() for a in np.meshgrid(*2 * [np.arange(16 * block, 16 * block + 17)]))
     diff = function_model._difference_bounds(hs[j], hs[j0], freqs, amps, 1, p)
     assert np.all(diff <= bound[np.abs(j - j0)] * (1.0 + 1e-12))
+
+
+class TestBooleanOrder:
+    # bool is an int subclass, but True is not a difference order; ClassParams refuses it too
+    def test_request_refuses_bool_order(self):
+        with pytest.raises(ConstraintViolation, match="positive integer, got True"):
+            ModulusRequest(True, 0.5, 3.0)
+
+    def test_p2_kernel_refuses_bool_order(self):
+        with pytest.raises(DomainError, match="positive integer, got True"):
+            modulus_p2_exact(power_law_series(2.0, 64), True, 0.5)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigsmooth import (
     DomainError,
@@ -14,6 +16,7 @@ from trigsmooth import (
     check_two_sided_asymp,
 )
 from trigsmooth.inequalities import (
+    _exact_sums,
     canonical_copson_sweep,
     case_rng,
     geometric_sequence,
@@ -222,3 +225,64 @@ class TestHomogeneityAndFamilies:
         a = case_rng(42, 3).random(5)
         b = case_rng(42, 3).random(5)
         np.testing.assert_array_equal(a, b)
+
+
+class TestExactSums:
+    """The batched sum behind every outer sum is math.fsum, bit for bit."""
+
+    @staticmethod
+    def fsum_or_error(column):
+        try:
+            return math.fsum(column.tolist()).hex()
+        except OverflowError:
+            return OverflowError
+
+    @staticmethod
+    def matrix(kind, width, count, rng):
+        shape = (width, count)
+        if kind == "uniform":
+            return rng.random(shape)
+        if kind == "power_law":
+            return rng.random(shape) * np.arange(1.0, width + 1.0)[:, None] ** rng.uniform(-4, 4)
+        if kind == "exponents":   # from the smallest subnormal 2^-1074 up to 2^900
+            return np.ldexp(rng.random(shape), rng.integers(-1074, 901, size=shape))
+        if kind == "zeros":
+            return np.where(rng.random(shape) < 0.5, 0.0, rng.random(shape))
+        if kind == "overflow":
+            return np.ldexp(rng.random(shape), 1023)
+        # exact and near ties: 1 + 2^-53 is halfway between 1 and its successor
+        terms = np.zeros(shape)
+        for j in range(count):
+            extra = ([], [2.0 ** -200], [-0.0], [2.0 ** -1074])[rng.integers(4)]
+            tie = [1.0, 2.0 ** -53, *extra]
+            rows = rng.choice(width, size=min(width, len(tie)), replace=False)
+            terms[rows, j] = tie[:len(rows)]
+        return terms
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["uniform", "power_law", "exponents", "zeros", "ties",
+                                 "overflow"]),
+           width=st.integers(0, 3000), count=st.integers(1, 60),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_fsum_bit_for_bit(self, kind, width, count, seed):
+        terms = self.matrix(kind, width, count, np.random.default_rng(seed))
+        want = [self.fsum_or_error(terms[:, j]) for j in range(count)]
+        if OverflowError in want:
+            with pytest.raises(OverflowError):
+                _exact_sums(terms)
+        else:
+            assert [x.hex() for x in _exact_sums(terms).tolist()] == want
+
+    @pytest.mark.parametrize("tie", [[1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -200],
+                                     [2.0 ** -1074] * 3, [0.0, -0.0]])
+    def test_ties_and_zero_sums(self, tie):
+        terms = np.array(tie)[:, None]
+        assert _exact_sums(terms).tolist()[0].hex() == math.fsum(tie).hex()
+
+    def test_power_law_sums_are_certified_without_fsum(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(math, "fsum", lambda xs: calls.append(1) or 0.0)
+        weights = np.arange(1.0, 2048.0)[:, None] ** -1.5
+        terms = np.random.default_rng(3).random((2047, 16)) * weights
+        _exact_sums(terms)
+        assert calls == []
