@@ -64,7 +64,7 @@ from .function_model import (DEFAULT_H_SAMPLES, MAX_H_SAMPLES, ModulusRequest, a
 
 #: Every config key: dotted name -> (type, default[, valid, message]).  A list type
 #: such as [float] is a comma list of that type; a default of None means the key has
-#: none.  A set value v for which valid(v) is false exits 2 with message.format(v).
+#: none.  A set value v (a whole list) failing valid(v) exits 2 with message.format(v).
 CONFIG_KEYS = {
     "series.coeffs": ([float], None),
     "series.generator": (str, None),
@@ -97,8 +97,10 @@ CONFIG_KEYS = {
     "ineq.lambda_values": ([float], (-0.5, 0.0, 0.5)),
     "ineq.p_values": ([float], (1.0, 2.0, 3.0)),
     "ineq.p_lower_values": ([float], (0.25, 0.5, 1.0)),
-    "ineq.m_values": ([int], (2,)),
-    "ineq.n_values": ([int], (32, 128)),
+    "ineq.m_values": ([int], (2,), lambda v: all(x >= 1 for x in v),
+                      "ineq.m_values entries must be >= 1, got {}"),
+    "ineq.n_values": ([int], (32, 128), lambda v: all(x >= 1 for x in v),
+                      "ineq.n_values entries must be >= 1, got {}"),
     "ineq.variants": ([str], ("tail", "head")),
     "ineq.jensen_cases": (int, 100, lambda v: v >= 0, "ineq.jensen_cases must be >= 0, got {}"),
     "ineq.jensen_len": (int, 32, lambda v: v >= 0, "ineq.jensen_len must be non-negative, got {}"),
@@ -205,9 +207,8 @@ def setting(cfg: dict, key: str):
         value = value.get(part) if isinstance(value, dict) else None
     if value is None:
         return default
-    if isinstance(kind, list):
-        return [_coerce(kind[0], v, key) for v in (value if isinstance(value, list) else [value])]
-    value = _coerce(kind, value, key)
+    value = ([_coerce(kind[0], v, key) for v in (value if isinstance(value, list) else [value])]
+             if isinstance(kind, list) else _coerce(kind, value, key))
     if rule and not rule[0](value):
         raise ConfigError(rule[1].format(value))
     return value

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,6 +27,8 @@ DEFAULT_GRID_N = 4096
 DEFAULT_H_SAMPLES = 257
 #: modulus_p2_exact scans every shift row of supports up to this size
 _EXACT_BLOCK = 64
+#: entries in each block array of the p = 2 table kernel _p2_table
+_BLOCK_ENTRIES = 2**14
 #: buckets of equal width in nu t / 2 over (0, pi / 2] in the low band of the
 #: modulus_p2_exact row bound
 _RATIO_BUCKETS = 16
@@ -210,10 +212,12 @@ def _row_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
                 req: ModulusRequest, h_chunk: int) -> np.ndarray:
     """_holder_bounds of the rows hs[:-1] of shift_grid(req.t, req.h_samples), with
     m_nu = |2 sin(nu h / 2)|^k.  Where nu t <= pi, m_nu <= rho^k m_nu(t) as in
-    modulus_p2_exact; m_nu is evaluated for nu t > pi, in batches of h_chunk rows."""
+    _p2_table; m_nu is evaluated for nu t > pi, in batches of h_chunk rows."""
     terms_t = _sin_form_terms(req.t, freqs, req.k)
-    low, (l2_b, sup_b) = _bucket_sums(freqs, req.t, amps * amps * terms_t,
-                                      np.abs(amps) * np.sqrt(terms_t))
+    ends = np.searchsorted(freqs * req.t, _TWO_Y, side="right")  # ends[b] nu have nu t <= 2 y_b
+    low, (l2_b, sup_b) = ends[-1], (
+        np.diff(np.concatenate(([0.0], np.cumsum(x[:ends[-1]])))[ends], prepend=0.0)
+        for x in (amps * amps * terms_t, np.abs(amps) * np.sqrt(terms_t)))
     ratios = _bucket_ratios(req.k, req.h_samples)
     return _in_batches(lambda h, l2, sup: _holder_bounds(
         _sin_form_terms(h, freqs[low:], req.k), amps[low:], req.p, l2, sup),
@@ -321,13 +325,6 @@ def _bucket_ratios(k: int, h_samples: int) -> np.ndarray:
     return ratios
 
 
-def _bucket_sums(freqs: np.ndarray, t: float, *terms: np.ndarray):
-    """(low, sums): the count of nu with nu t <= pi, and each term array summed per bucket."""
-    ends = np.searchsorted(freqs * t, _TWO_Y, side="right")
-    return ends[-1], [np.diff(np.concatenate(([0.0], np.cumsum(x[:ends[-1]])))[ends], prepend=0.0)
-                      for x in terms]
-
-
 def _scaled_roots(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
     """sqrt(pi g(h)) per shift h at any k: with x_nu = |a_nu|^(1/k) |2 sin(nu h / 2)| and
     M its largest, g = M^(2k) sum (x_nu / M)^(2k).  The sum lies in [1, N], so only terms
@@ -348,22 +345,8 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     From k = 512, where 4^k overflows, every row is scanned by _scaled_roots.  Below
     it, when t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on [0, t],
     so g peaks at h = t and that row alone is evaluated.  Otherwise supports of at most
-    _EXACT_BLOCK frequencies are scanned in full, and wider ones are pruned with a
-    certificate.  g(t) is evaluated first, with terms
-    T_nu = a_nu^2 (2 sin(nu t / 2))^(2k), and every other shift h = lambda t is
-    bounded in two bands:
-
-    - nu t <= pi: with y = nu t / 2 in (0, pi / 2], sin(lambda y) / sin(y) is
-      non-decreasing in y, because x cot x decreases on (0, pi).  So each term is at
-      most rho^(2k) T_nu, with rho = sin(lambda y_b) / sin(y_b) at the top y_b of
-      nu's bucket, one of _RATIO_BUCKETS of equal width in y.  rho^(2k) is taken
-      from _bucket_ratios at lambda = j / (h_samples - 1), which differs from the
-      row's own h / t by about 2^-52 relative; _BOUND_SLACK covers that.
-    - nu t > pi: sum a_nu^2 min(nu h, 2)^(2k), since 2 |sin(x / 2)| <= min(|x|, 2).
-
-    Only the rows whose bound, times 1 + _BOUND_SLACK, reaches g(t) are evaluated
-    in full; the rest are provably below it, so the value is the same grid sup as
-    a full scan, up to floating-point summation order.
+    _EXACT_BLOCK frequencies are scanned in full, and wider ones are the one-t call of
+    the table kernel _p2_table, which certifies the sup by bounds and a rotation screen.
     """
     try:
         ModulusRequest(k, t, 2.0, h_samples)
@@ -385,33 +368,83 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         s = 27 if e else 0
         terms_t = _sin_form_terms(math.ldexp(t, e), freqs, k, s)
         return math.ldexp(math.sqrt(math.pi * float(terms_t @ w)), -k * (e + s))
-
-    hs = shift_grid(t, h_samples)
-    # rows per batch: at most 2**22 entries in each terms matrix
-    h_chunk = max(1, 2**22 // freqs.size)
-    if k >= 512:  # 4^k overflows
-        return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k), h_chunk, hs).max())
+    if k >= 512:  # 4^k overflows; rows per batch: at most 2**22 entries
+        return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k),
+                                 max(1, 2**22 // freqs.size), shift_grid(t, h_samples)).max())
     if freqs.size <= _EXACT_BLOCK:
-        return math.sqrt(math.pi * float((_sin_form_terms(hs, freqs, k) @ w).max()))
+        return math.sqrt(math.pi * float((_sin_form_terms(shift_grid(t, h_samples), freqs, k)
+                                          @ w).max()))
+    return float(_p2_table(freqs, amps, k, np.array([t]), h_samples)[0])
 
-    terms_t = _sin_form_terms(t, freqs, k)
-    top = float(terms_t @ w)
-    # low band: T summed per bucket, each sum times rho^(2k)
-    low, (sums,) = _bucket_sums(freqs, t, terms_t * w)
-    bound = _bucket_ratios(k, h_samples) @ sums
-    f_hi = freqs[low:].astype(float)
-    w_hi = w[low:]
-    rest = hs[:-1]
-    # rows at h = 0 keep their low-band value, which is 0
-    pos = rest > 0.0
-    h = rest[pos]
-    # overflow only loosens the bound to inf, or to NaN via 0 * inf; both rows are kept
-    with np.errstate(over="ignore", invalid="ignore"):
-        # P[m] = sum_{j < m} w_j f_j^(2k) and Q[m] = sum_{j >= m} w_j over the high band
-        prefix = np.concatenate(([0.0], np.cumsum(w_hi * f_hi ** (2 * k))))
-        suffix = np.concatenate((np.cumsum(w_hi[::-1])[::-1], [0.0]))
-        m = np.searchsorted(f_hi, 2.0 / h)
-        bound[pos] += h ** (2 * k) * prefix[m] + np.power(4.0, k) * suffix[m]
-    kept = rest[~(bound * (1.0 + _BOUND_SLACK) < top)]
-    top = _in_batches(lambda h: _sin_form_terms(h, freqs, k) @ w, h_chunk, kept).max(initial=top)
-    return math.sqrt(math.pi * top)
+
+def _p2_table(freqs: np.ndarray, amps: np.ndarray, k: int, ts: np.ndarray,
+              h_samples: int) -> np.ndarray:
+    """modulus_p2_exact at each t of ts (k < 512, and max_freq t >= 2^-28 so that no term
+    needs scaling), in blocks of t whose arrays hold at most _BLOCK_ENTRIES entries.
+
+    The h = t rows of a block are one sine matrix, each row summed by its own dot product
+    (a matrix-vector product's rounding depends on the other rows); where t max_freq <= pi
+    that row is the value.  Other rows h = lambda t are bounded from the h = t terms: for
+    nu t <= pi by rho^(2k), rho = sin(lambda y) / sin(y) at the top of nu's bucket in
+    y = nu t / 2 (it grows with y, as x cot x decreases on (0, pi)); above, by
+    2 |sin(x / 2)| <= min(|x|, 2), plus 4 N 2^-53 of the larger prefix sum for rounding.
+    Rows whose bound, times 1 + _BOUND_SLACK (which covers lambda = j / (h_samples - 1)
+    too), reaches g(t) go to _screen; those it keeps take their sines."""
+    w, f, n = amps * amps, freqs.astype(float), h_samples - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
+        head = np.concatenate(([0.0], np.cumsum(w * f ** (2 * k))))  # sum_{j < m} w_j f_j^(2k)
+    tail = np.cumsum(np.append(w, 0.0)[::-1])[::-1]  # sum_{j >= m} w_j
+
+    def block(ts):
+        terms = _sin_form_terms(ts, freqs, k)
+        top = np.array([row @ w for row in terms])
+        pruned = f[-1] * ts > math.pi
+        if not pruned.any():
+            return np.sqrt(math.pi * top)
+        grid = np.hstack((np.arange(n) * (ts / n)[:, None], ts[:, None]))  # shift_grid(ts[i])
+        # low band: the first ends[:, b] nu have nu t <= 2 y_b (at most N - 1, since the high
+        # band's bound holds for any nu); reduceat gives an empty bucket its first entry
+        ends = np.minimum(np.searchsorted(f, _TWO_Y / ts[:, None], side="right"), f.size - 1)
+        starts = np.hstack((0 * ends[:, :1], ends)) + f.size * np.arange(ts.size)[:, None]
+        sums = np.add.reduceat((terms * w).ravel(), starts.ravel()).reshape(starts.shape)[:, :-1]
+        sums[np.diff(starts) == 0] = 0.0
+        bound = sums @ _bucket_ratios(k, h_samples).T
+        # high band, for 0 < h < t: m is the first frequency at or above 2 / h and the band
+        low, h = ends[:, -1:], grid[:, 1:-1]
+        m = np.maximum(np.searchsorted(f, 2.0 / h), low)
+        with np.errstate(over="ignore", invalid="ignore"):
+            below = head[m] - head[low] + 4 * f.size * 2.0**-53 * head[m]
+            bound[:, 1:] += h ** (2 * k) * below + 4.0 ** k * tail[m]
+        cand = pruned[:, None] & ~(bound * (1.0 + _BOUND_SLACK) < top[:, None])
+        if cand.any():
+            _screen(freqs, w, k, ts, grid, cand, top)
+        i, j = np.nonzero(cand)  # the rows left take their sines, _BLOCK_ENTRIES at a time
+        np.maximum.at(top, i, _in_batches(lambda i, j: [row @ w for row in _sin_form_terms(
+            grid[i, j], freqs, k)], max(1, _BLOCK_ENTRIES // f.size), i, j))
+        return np.sqrt(math.pi * top)
+
+    return _in_batches(block, max(1, _BLOCK_ENTRIES // max(freqs.size, h_samples)), ts)
+
+
+def _screen(freqs: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
+            cand: np.ndarray, top: np.ndarray) -> None:
+    """Clear each candidate row cand[i, j] of grid[i] = shift_grid(ts[i]) whose g(h) is
+    provably below top[i].  z = e^(i nu h / 2) steps down from h = t by e^(-i nu step / 2),
+    both from e^(i 64 q x) e^(i b x) (nu = 64 q + b), one sine and cosine per q and b.
+    With those within 2^-48, Im z is within E = 2^-45 (2 (h_samples - 1) + nu_max t) of the
+    row's own sine, so 4^k sum a_nu^2 (Im z^2 + E (2 + 3 E))^k bounds the row, up to
+    4 (N + k + 1) 2^-53 for the rounding of either sum."""
+    rows, n = np.flatnonzero(cand.any(axis=1)), grid.shape[1] - 1
+    q, at = np.unique(freqs // 64, return_inverse=True)
+
+    def cis(x):  # e^(i nu x), one row per entry of the column x
+        return (np.take(np.exp(64j * x * q), at, axis=1)
+                * np.take(np.exp(1j * x * np.arange(64)), freqs % 64, axis=1))
+
+    z, rot = cis(0.5 * n * grid[rows, 1:2]), cis(-0.5 * grid[rows, 1:2])
+    err = 2.0**-45 * (2 * n + freqs[-1] * ts[rows, None])
+    slack = 4.0 ** k * (1.0 + _BOUND_SLACK + 4 * (freqs.size + k + 1) * 2.0**-53)
+    for d in range(1, n - cand[rows].argmax(axis=1).min() + 1):
+        z *= rot
+        sq = np.square(z.imag) + err * (2.0 + 3.0 * err)
+        cand[rows, n - d] &= ~(reduce(np.multiply, [sq] * k) @ w * slack < top[rows])

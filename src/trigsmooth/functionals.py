@@ -29,13 +29,8 @@ import numpy as np
 from .approximation import _head_sum, _tail_sum, best_approx, power_sum_tail
 from .core import DENSE_LIMIT, ClassParams, CosineSeries, FunctionalCurve, MajorantPhi
 from .errors import DomainError, TagError
-from .function_model import (
-    DEFAULT_H_SAMPLES,
-    ModulusRequest,
-    auto_grid_size,
-    modulus,
-    modulus_p2_exact,
-)
+from .function_model import (_EXACT_BLOCK, DEFAULT_H_SAMPLES, ModulusRequest, _p2_table,
+                             auto_grid_size, modulus, modulus_p2_exact)
 
 #: smallest truncation range used by the omega-based forms
 MIN_NU_MAX = 1024
@@ -54,10 +49,12 @@ class Truncated:
 
 
 class ModulusTable:
-    """Cached evaluations of w(1/nu) for one (series, k, p) triple.
+    """Cached evaluations of w(1/nu) for one (series, k, p) triple, NaN until evaluated.
 
     Uses the closed-form Parseval path at p = 2 and the quadrature grid path
-    otherwise; ``path`` records which one, for reproducibility.
+    otherwise; ``path`` records which one, for reproducibility.  At p = 2 and k < 512, a
+    support wider than _EXACT_BLOCK fills omega_upto's missing nu in blocks through
+    _p2_table, each value bit for bit modulus_p2_exact's.
     """
 
     def __init__(self, series: CosineSeries, k: int, p: float,
@@ -67,28 +64,37 @@ class ModulusTable:
         self.p = float(p)
         self.h_samples = int(h_samples)
         self.path = "p2_exact" if p == 2.0 else "grid"
+        ModulusRequest(self.k, 1.0, self.p, self.h_samples)  # checks k, p and h_samples
         self._grid_n = auto_grid_size(series)
-        self._cache: dict[int, float] = {}
+        self._omega = np.empty(0)
+        self._blocked = p == 2.0 and self.k < 512 and series.support()[0].size > _EXACT_BLOCK
 
     def omega_at(self, nu: int) -> float:
         """w(1/nu) for a positive integer nu."""
-        got = self._cache.get(nu)
-        if got is not None:
-            return got
-        t = 1.0 / nu
-        if self.path == "p2_exact":
-            val = modulus_p2_exact(self.series, self.k, t, self.h_samples)
-        else:
-            req = ModulusRequest(k=self.k, t=t, p=self.p, h_samples=self.h_samples)
-            val = modulus(self.series, req, self._grid_n)
-        self._cache[nu] = val
+        if nu > self._omega.size:  # NaN until evaluated
+            self._omega = np.pad(self._omega, (0, nu - self._omega.size), constant_values=np.nan)
+        val = self._omega.item(nu - 1)
+        if math.isnan(val):
+            if self.path == "p2_exact":
+                val = modulus_p2_exact(self.series, self.k, 1.0 / nu, self.h_samples)
+            else:
+                val = modulus(self.series, ModulusRequest(self.k, 1.0 / nu, self.p, self.h_samples),
+                              self._grid_n)
+            self._omega[nu - 1] = val
         return val
 
     def omega_upto(self, nu_max: int) -> np.ndarray:
         """Array of w(1/nu) for nu = 1..nu_max; DomainError above DENSE_LIMIT entries."""
         if nu_max > DENSE_LIMIT:
             raise DomainError(f"omega range {nu_max} exceeds the limit of {DENSE_LIMIT} entries")
-        return np.array([self.omega_at(nu) for nu in range(1, nu_max + 1)])
+        if nu_max > self._omega.size:
+            self._omega = np.pad(self._omega, (0, nu_max - self._omega.size), constant_values=np.nan)
+        if not self._blocked:
+            return np.array([self.omega_at(nu) for nu in range(1, nu_max + 1)])
+        missing = np.flatnonzero(np.isnan(self._omega[:nu_max]))
+        self._omega[missing] = _p2_table(*self.series.support(), self.k, 1.0 / (missing + 1),
+                                         self.h_samples)
+        return self._omega[:nu_max].copy()
 
 
 def _power_law_remainder(nus: np.ndarray, terms: np.ndarray) -> tuple[float, float]:

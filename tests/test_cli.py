@@ -104,6 +104,15 @@ class TestConfigParsing:
         cfg = write_cfg(tmp_path, BASE_CFG + line + "\n")
         assert main([command, "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("key, value", [("ineq.n_values", "-5"), ("ineq.n_values", "32,0"),
+                                            ("ineq.m_values", "0")])
+    def test_ineq_ranges_below_one_exit_2_naming_the_key(self, tmp_path, capsys, key, value):
+        # with the random family a negative n reached numpy as a negative array size
+        cfg = write_cfg(tmp_path, "ineq.lemmas = hardy_upper\nineq.families = random\n"
+                        f"{key} = {value}\n")
+        assert main(["ineq-sweep", "--config", cfg]) == 2
+        assert f"{key} entries must be >= 1" in capsys.readouterr().err
+
 
 class TestConfigKeys:
     def test_unknown_key_exits_2_and_is_named(self, tmp_path, capsys):

@@ -257,6 +257,21 @@ def _slowly_decaying_support(draw, min_size, max_size):
 
 
 @pytest.fixture
+def screened(monkeypatch):
+    """(candidate rows in, candidate rows left) of each _screen call made while the test runs."""
+    calls = []
+    real = function_model._screen
+
+    def counting(freqs, w, k, ts, grid, cand, top):
+        before = int(cand.sum())
+        real(freqs, w, k, ts, grid, cand, top)
+        calls.append((before, int(cand.sum())))
+
+    monkeypatch.setattr(function_model, "_screen", counting)
+    return calls
+
+
+@pytest.fixture
 def sin_form_calls(monkeypatch):
     """(rows, columns) of each _sin_form_terms call made while the test runs."""
     calls = []
@@ -380,17 +395,19 @@ class TestModulusP2Pruned:
         assert full_rows / 1024 < 15
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_rows_tying_the_last_row_are_evaluated(self, sin_form_calls, seed):
+    def test_rows_tying_the_last_row_are_evaluated(self, sin_form_calls, screened, seed):
         # odd frequencies from 101 at t = pi: 2 |sin(nu t / 2)| = 2, so g(t) = 4^k sum a^2,
         # which is also the bound of every row with h >= 2 / 101; only the slack keeps
-        # those rows when rounding puts the bound below g(t)
+        # those rows as candidates when rounding puts the bound below g(t)
         rng = np.random.default_rng(seed)
         freqs = np.arange(101, 261, 2)
         amps = rng.uniform(0.1, 1.0, freqs.size) * rng.choice([-1.0, 1.0], freqs.size)
         got = modulus_p2_exact(CosineSeries.from_support(freqs, amps, 259), 2, math.pi, 17)
         assert got == pytest.approx(4.0 * math.sqrt(math.pi * np.sum(amps * amps)), rel=1e-14)
-        # the h = t row and the 15 rows with h > 0
-        assert sum(rows for rows, cols in sin_form_calls if cols == freqs.size) == 16
+        # the 15 rows with h > 0 all reach the screen, which proves each below g(t), so
+        # only the h = t row takes its sines
+        assert screened == [(15, 0)]
+        assert sum(rows for rows, cols in sin_form_calls if cols == freqs.size) == 1
 
     @pytest.mark.parametrize("size", [40, 200], ids=["exact_block", "pruned"])
     @pytest.mark.parametrize("t", [1e-160, 1e-200])

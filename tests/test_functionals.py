@@ -530,3 +530,66 @@ class TestOmegaRangeLimit:
             table.omega_upto(DENSE_LIMIT + 1)
         with pytest.raises(DomainError, match="exceeds the limit"):
             series_form(power_law_series(2.0, 16), PARAMS, DENSE_LIMIT // 4 + 1)
+
+
+@st.composite
+def _wide_support(draw):
+    """65 to 512 signed coefficients nu^(-s), s in [0, 1.5], on frequencies at most 3
+    apart, drawn from a seeded generator; the flat ones put the sup of many rows off
+    h = t."""
+    size, s = draw(st.integers(65, 512)), draw(st.floats(0.0, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nus = np.cumsum(rng.integers(1, 4, size))
+    amps = nus ** (-s) * rng.choice([-1.0, 1.0], size)
+    return CosineSeries.from_support(nus, amps, int(nus[-1]))
+
+
+class TestBlockFilledTable:
+    """Supports wider than 64 frequencies fill the p = 2 table in blocks of nu, through a
+    screen of the candidate rows; each value must be modulus_p2_exact's bit for bit."""
+
+    @given(ser=_wide_support(), k=st.sampled_from([1, 2, 3]), extra=st.integers(1, 64))
+    @settings(max_examples=15, deadline=None)
+    def test_block_fill_is_modulus_p2_exact(self, ser, k, extra):
+        # nu_max lies past max_freq / pi, where the rows stop being pruned, and past the
+        # first block edge of the larger supports (2**14 // 512 = 32 nu per block)
+        split = int(ser.max_freq / math.pi)
+        nu_max = split + extra
+        got = ModulusTable(ser, k, 2.0, h_samples=17).omega_upto(nu_max)
+        assert got.tolist() == [modulus_p2_exact(ser, k, 1.0 / nu, 17)
+                                for nu in range(1, nu_max + 1)]
+        for nu in (1, max(split, 1)):
+            assert got[nu - 1] == pytest.approx(
+                oracles.modulus_p2_h_scan(ser.coeffs, k, 1.0 / nu, 17), rel=1e-12, abs=0.0)
+
+    def test_screen_hands_interior_sups_to_their_sines(self, monkeypatch):
+        # flat amplitudes on nu = 1..100: below t = 4.5 / 100 the sup sits at an interior
+        # row, near h = 4.5 / 100, which the screen must keep for its sines
+        from trigsmooth import function_model
+        rows = []
+        real = function_model._sin_form_terms
+
+        def counting(hs, freqs, *args):
+            rows.append(np.size(hs) if np.size(freqs) == 100 else 0)
+            return real(hs, freqs, *args)
+
+        monkeypatch.setattr(function_model, "_sin_form_terms", counting)
+        ser = CosineSeries(np.ones(100))
+        got = ModulusTable(ser, 1, 2.0).omega_upto(40)
+        assert sum(rows) > 40  # the 40 rows h = t, and those the screen kept
+        for nu in (1, 7, 20):
+            want = oracles.modulus_p2_h_scan(ser.coeffs, 1, 1.0 / nu, 257)
+            assert got[nu - 1] == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert got[nu - 1] > oracles.modulus_p2_h_scan(ser.coeffs, 1, 1.0 / nu, 2) * (1 + 1e-3)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_partial_fills_match_one_fill(self, k):
+        ser = power_law_series(1.5, 512)  # rows are pruned below nu = 163
+        table = ModulusTable(ser, k, 2.0)
+        first = table.omega_at(5)
+        part = table.omega_upto(300)
+        assert part[4] == first
+        assert part.tolist() == ModulusTable(ser, k, 2.0).omega_upto(300).tolist()
+        assert table.omega_upto(120).tolist() == part[:120].tolist()
+        assert [table.omega_at(nu) for nu in (1, 300, 301)] == [
+            modulus_p2_exact(ser, k, 1.0 / nu) for nu in (1, 300, 301)]
