@@ -157,6 +157,9 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     by the bound of row |h - h0| / step, whose coefficient moduli it has, else by
     _difference_bounds.  Only candidates whose smallest bound reaches the best value
     so far are evaluated; the rest are provably lower, so the value is the grid sup.
+    At p > 2 the sup factors are capped from L >= sup |f'| (_slope_bound): row h's by
+    2^(k-1) h L, and D's by k 2^(k-1) |h - h0| L (_difference_bounds).  Amplitudes past
+    2^+-256 are scaled by a power of two, exactly, and the value is scaled back.
     """
     if req.t == 0.0:
         return 0.0
@@ -164,6 +167,9 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     freqs, amps = series.support()
     if freqs.size == 0:
         return 0.0
+    scale = -math.frexp(float(np.abs(amps).max()))[1]
+    amps = np.ldexp(amps, scale := scale if abs(scale) > 256 else 0)
+    slope = math.ldexp(_slope_bound(series, n), scale) if req.p > 2.0 else math.inf
     hs = shift_grid(req.t, req.h_samples)
     # rows per batch: about 2**22 complex spectrum entries at every grid size, and at
     # most 2**22 entries in each coefficient matrix, since n > 2 * freqs.size
@@ -176,7 +182,7 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     # NaN marks a row that is not evaluated
     values = np.full(hs.size, np.nan)
     values[last] = norms([last])[0]
-    bound = _row_bounds(hs, freqs, amps, req, h_chunk)
+    bound = _row_bounds(hs, freqs, amps, req, h_chunk, slope)
     # a NaN or inf bound keeps its row
     cand = np.flatnonzero(~(bound * (1.0 + _BOUND_SLACK) < values[last]))
     anchors = cand[cand % _ANCHOR_STEP == 0]
@@ -192,11 +198,12 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
         # fmin then keeps the row's other bound
         with np.errstate(over="ignore", invalid="ignore"):
             diff = offset[np.abs(rows - anchor)] if req.k == 1 else _in_batches(
-                lambda h, h0: _difference_bounds(h, h0, freqs, amps, req.k, req.p),
+                lambda h, h0: _difference_bounds(h, h0, freqs, amps, req.k, req.p, slope),
                 h_chunk, hs[rows], hs[anchor])
             bound[rows] = np.fmin(bound[rows], values[anchor] + diff)
     kept = others[~(bound[others] * (1.0 + _BOUND_SLACK) < best)]
-    return float(norms(kept).max(initial=best))
+    with np.errstate(over="ignore"):  # past the float range: inf
+        return float(np.ldexp(norms(kept).max(initial=best), -scale))
 
 
 def _in_batches(fn, h_chunk: int, *rows: np.ndarray) -> np.ndarray:
@@ -209,28 +216,46 @@ def _in_batches(fn, h_chunk: int, *rows: np.ndarray) -> np.ndarray:
 
 
 def _row_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
-                req: ModulusRequest, h_chunk: int) -> np.ndarray:
+                req: ModulusRequest, h_chunk: int, slope: float = math.inf) -> np.ndarray:
     """_holder_bounds of the rows hs[:-1] of shift_grid(req.t, req.h_samples), with
-    m_nu = |2 sin(nu h / 2)|^k.  Where nu t <= pi, m_nu <= rho^k m_nu(t) as in
-    _p2_table; m_nu is evaluated for nu t > pi, in batches of h_chunk rows."""
-    terms_t = _sin_form_terms(req.t, freqs, req.k)
-    ends = np.searchsorted(freqs * req.t, _TWO_Y, side="right")  # ends[b] nu have nu t <= 2 y_b
-    low, (l2_b, sup_b) = ends[-1], (
-        np.diff(np.concatenate(([0.0], np.cumsum(x[:ends[-1]])))[ends], prepend=0.0)
-        for x in (amps * amps * terms_t, np.abs(amps) * np.sqrt(terms_t)))
-    ratios = _bucket_ratios(req.k, req.h_samples)
-    return _in_batches(lambda h, l2, sup: _holder_bounds(
-        _sin_form_terms(h, freqs[low:], req.k), amps[low:], req.p, l2, sup),
-        h_chunk, hs[:-1], ratios @ l2_b, np.sqrt(ratios) @ sup_b)
+    m_nu = |2 sin(nu h / 2)|^k and sup caps 2^(k-1) h slope.  Where nu t <= pi, m_nu <=
+    rho^k m_nu(t) as in _p2_table; m_nu is evaluated for nu t > pi, h_chunk rows a batch."""
+    # overflow (of (2 sin)^(2k), say) gives inf or NaN bounds, which keep their rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms_t = _sin_form_terms(req.t, freqs, req.k)
+        ends = np.searchsorted(freqs * req.t, _TWO_Y, side="right")  # nu t <= 2 y_b for ends[b] nu
+        low, (l2_b, sup_b) = ends[-1], (
+            np.diff(np.concatenate(([0.0], np.cumsum(x[:ends[-1]])))[ends], prepend=0.0)
+            for x in (amps * amps * terms_t, np.abs(amps) * np.sqrt(terms_t)))
+        ratios = _bucket_ratios(req.k, req.h_samples)
+        return _in_batches(lambda h, l2, sup, cap: _holder_bounds(
+            _sin_form_terms(h, freqs[low:], req.k), amps[low:], req.p, l2, sup, cap),
+            h_chunk, hs[:-1], ratios @ l2_b, np.sqrt(ratios) @ sup_b,
+            np.ldexp(hs[:-1] * slope, req.k - 1))
 
 
 def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
                 req: ModulusRequest, n: int) -> np.ndarray:
-    """Rectangle-rule L_p norm of Delta_h^k f on the n-point grid, one per shift in hs."""
-    mult = (np.exp(1j * np.outer(hs, freqs.astype(float))) - 1.0) ** req.k
+    """Rectangle-rule L_p norm of Delta_h^k f on the n-point grid, one per shift in hs.
+
+    Samples are below 2^u, u = log2(sum |a_nu|) + k e, min(2, nu_max h) < 2^e.  Rows with
+    p u outside [-700, 900] are scaled by powers of two (the multipliers e^(i nu h) - 1
+    before the k-th power and the samples before |x|^p, each to a largest entry in
+    [1/2, 1)) and their norms scaled back; the other rows keep the unscaled bits."""
+    mult = np.exp(1j * np.outer(hs, freqs.astype(float))) - 1.0
+    e = np.frexp(np.minimum(2.0, freqs[-1] * hs))[1]
+    pu = req.p * (math.log2(np.abs(amps).sum()) + req.k * e)
+    far = np.flatnonzero((pu < -700.0) | (pu > 900.0))
+    if far.size:  # ldexp on the float view is exact
+        zs = -np.frexp(np.abs(mult[far]).max(axis=1))[1]
+        mult.view(float)[far] = np.ldexp(mult.view(float)[far], zs[:, None])
+    mult **= req.k  # ** 2 squares, which np.power does not
     spec = np.zeros((hs.size, n // 2 + 1), dtype=complex)
     spec[:, freqs] = mult * (0.5 * n * amps)
     diffs = np.fft.irfft(spec, n=n, axis=-1)
+    if far.size:
+        xs = -np.frexp(np.abs(diffs[far]).max(axis=1))[1]
+        diffs[far] = np.ldexp(diffs[far], xs[:, None])
     if req.p == 2.0:
         sums = np.einsum("ij,ij->i", diffs, diffs)
     else:
@@ -238,11 +263,15 @@ def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
         np.abs(diffs, out=diffs)
         np.power(diffs, req.p, out=diffs)
         sums = np.sum(diffs, axis=-1)
-    return (TWO_PI / n * sums) ** (1.0 / req.p)
+    out = (TWO_PI / n * sums) ** (1.0 / req.p)
+    if far.size:
+        with np.errstate(over="ignore"):  # past the float range: inf
+            out[far] = np.ldexp(out[far], -(req.k * zs + xs))
+    return out
 
 
 def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
-                       amps: np.ndarray, k: int, p: float) -> np.ndarray:
+                       amps: np.ndarray, k: int, p: float, slope: float = math.inf) -> np.ndarray:
     """Upper bound on the grid L_p norm of Delta_h^k f - Delta_h0^k f, one per pair of
     shifts (h, h0) in hs and h0s.
 
@@ -251,7 +280,8 @@ def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
     |2 sin(nu (h - h0) / 2)|, so its modulus is at most |a_nu| times
     m_nu = |2 sin(nu (h - h0) / 2)| sum_j |2 sin(nu h / 2)|^j |2 sin(nu h0 / 2)|^(k-1-j).
     The half angles are the ones the grid rows are built from, so the sine of their
-    difference bounds the rows as evaluated.
+    difference bounds the rows as evaluated.  The sup cap k 2^(k-1) |h - h0| slope follows
+    from Delta_h^k - Delta_h0^k = sum_i Delta_h^i (Delta_h - Delta_h0) Delta_h0^(k-1-i).
     """
     half = 0.5 * freqs
     z = np.multiply.outer(hs, half)
@@ -268,14 +298,17 @@ def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
         m *= z
         m += mw
     np.multiply(m, m, out=m)
-    return _holder_bounds(m, amps, p)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf gives a NaN cap
+        return _holder_bounds(m, amps, p, sup_cap=np.ldexp(k * np.abs(hs - h0s) * slope, k - 1))
 
 
-def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float, l2_rest=0.0, sup_rest=0.0) -> np.ndarray:
+def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float, l2_rest=0.0, sup_rest=0.0,
+                   sup_cap=math.inf) -> np.ndarray:
     """Upper bound on the grid L_p norm of each real trigonometric polynomial whose
     coefficient of nu has modulus at most |a_nu| m_nu, from sq = m_nu^2 (one row per
     polynomial, overwritten), plus l2_rest and sup_rest, per-row bounds on the two
-    sums below over the frequencies that sq leaves out.
+    sums below over the frequencies that sq leaves out, and sup_cap, per-row caps on
+    ||g||_inf that replace the sup sum where smaller (a NaN cap is none).
 
     The grid holds every harmonic alias-free, so Parseval gives the grid L_2 norm
     exactly, ||g||_2 <= sqrt(pi sum a_nu^2 m_nu^2), and ||g||_inf <= sum |a_nu| m_nu.
@@ -288,7 +321,22 @@ def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float, l2_rest=0.0, sup_
     if p <= 2.0:
         return TWO_PI ** (1.0 / p - 0.5) * l2
     np.sqrt(sq, out=sq)
-    return l2 ** (2.0 / p) * (sq @ np.abs(amps) + sup_rest) ** (1.0 - 2.0 / p)
+    return l2 ** (2.0 / p) * np.fmin(sq @ np.abs(amps) + sup_rest, sup_cap) ** (1.0 - 2.0 / p)
+
+
+# one entry, since every caller holds the series and the grid fixed over a table
+@lru_cache(maxsize=1)
+def _slope_bound(series: CosineSeries, n: int) -> float:
+    """L >= sup |f'| over the circle from f' on the n-point grid; inf if d^2 >= 2, d = pi F / n.
+    Where |f'| peaks f'' = 0, and Bernstein bounds f''' by F^2 ||f'||_inf, so the grid point
+    within pi / n holds at least ||f'||_inf (1 - d^2 / 2).  L adds 2^-26 sum nu |a_nu| for the
+    rounding of the samples and of the rows as evaluated (e^(i nu h) - 1 within 2^-26.5 nu h)."""
+    freqs, amps = series.support()
+    d = math.pi * series.max_freq / n
+    if d * d >= 2.0:
+        return math.inf
+    top = np.abs(np.fft.irfft(_series_spectrum(series, n) * 1j * np.arange(n // 2 + 1), n=n)).max()
+    return (float(top) + 2.0**-26 * float(freqs @ np.abs(amps))) / (1.0 - 0.5 * d * d)
 
 
 def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int, scale: int = 0) -> np.ndarray:

@@ -90,15 +90,25 @@ def mp_modulus_p2(freqs, amps, k: int, t: float, h_samples: int, dps: int = 40) 
 def modulus_grid_full_scan(coeffs, k: int, t: float, p: float, h_samples: int, n: int) -> float:
     """Unpruned grid modulus: every row of the shift grid synthesised on its own (numpy
     irfft of the exact difference spectrum), its rectangle-rule L_p norm taken, and the
-    largest one returned."""
+    largest one returned.
+
+    So that no power leaves the float range, each row is scaled by powers of two: the
+    multipliers e^(i nu h) - 1 before the k-th power and the samples before |x|^p, each
+    so that its largest entry lies in [1/2, 1); the norm is scaled back after the root."""
     coeffs = np.asarray(coeffs, dtype=float)
     nus = np.arange(1, coeffs.size + 1)
     best = 0.0
     for h in shift_grid(t, h_samples):
+        z = np.exp(1j * nus * h) - 1.0
+        zs = -math.frexp(float(np.abs(z).max()))[1]
+        z = np.ldexp(z.real, zs) + 1j * np.ldexp(z.imag, zs)
         spec = np.zeros(n // 2 + 1, dtype=complex)
-        spec[nus] = 0.5 * n * coeffs * (np.exp(1j * nus * h) - 1.0) ** k
+        spec[nus] = 0.5 * n * coeffs * z ** k
         diff = np.fft.irfft(spec, n=n)
-        best = max(best, float((2.0 * math.pi / n * np.sum(np.abs(diff) ** p)) ** (1.0 / p)))
+        xs = -math.frexp(float(np.abs(diff).max()))[1]
+        norm = (2.0 * math.pi / n * np.sum(np.abs(np.ldexp(diff, xs)) ** p)) ** (1.0 / p)
+        with np.errstate(over="ignore"):  # a value past the float range is inf
+            best = max(best, float(np.ldexp(norm, -(k * zs + xs))))
     return best
 
 

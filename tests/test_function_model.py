@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trigsmooth import (
@@ -694,3 +694,97 @@ class TestBooleanOrder:
     def test_p2_kernel_refuses_bool_order(self):
         with pytest.raises(DomainError, match="positive integer, got True"):
             modulus_p2_exact(power_law_series(2.0, 64), True, 0.5)
+
+
+def _evaluated_row(coeffs, n, h, k):
+    """Delta_h^k f on the n-point grid, built as the grid modulus builds its rows."""
+    nus = np.arange(1, coeffs.size + 1)
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec[nus] = 0.5 * n * coeffs * (np.exp(1j * nus * h) - 1.0) ** k
+    return np.fft.irfft(spec, n=n)
+
+
+class TestSlopeCap:
+    """At p > 2 the grid modulus caps the sup factor of its row bounds by 2^(k-1) h L and
+    of its difference bounds by k 2^(k-1) |h - h0| L, L = _slope_bound >= sup |f'|."""
+
+    @given(coeffs=_signed_support(1, 120), oversample=st.sampled_from([1, 2, 4]))
+    @settings(max_examples=30, deadline=None)
+    def test_slope_bound_covers_a_16_times_denser_grid(self, coeffs, oversample):
+        ser = CosineSeries(coeffs)
+        n = auto_grid_size(ser, 8) * oversample
+        nus = np.arange(1, coeffs.size + 1)
+        spec = np.zeros(8 * n + 1, dtype=complex)
+        spec[nus] = 8j * n * nus * coeffs  # f' on 16 n points
+        assert function_model._slope_bound(ser, n) >= np.abs(np.fft.irfft(spec, n=16 * n)).max()
+
+    @given(coeffs=_signed_support(1, 60), k=st.sampled_from([1, 2, 3]),
+           h=st.floats(1e-300, math.pi), oversample=st.sampled_from([1, 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_evaluated_rows_lie_within_the_cap(self, coeffs, k, h, oversample):
+        ser = CosineSeries(coeffs)
+        n = auto_grid_size(ser, 8) * oversample
+        cap = 2.0 ** (k - 1) * h * function_model._slope_bound(ser, n)
+        assert np.abs(_evaluated_row(coeffs, n, h, k)).max() <= cap
+
+    @given(coeffs=_signed_support(1, 40), k=st.sampled_from([1, 2, 3]),
+           p=st.sampled_from([2.5, 3.0, 7.0]), h=st.floats(0.0, math.pi),
+           h0=st.floats(0.0, math.pi), oversample=st.sampled_from([1, 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_row_difference_lies_within_the_cap(self, coeffs, k, p, h, h0, oversample):
+        ser = CosineSeries(coeffs)
+        n = auto_grid_size(ser, 8) * oversample
+        freqs, amps = ser.support()
+        slope = function_model._slope_bound(ser, n)
+        gap = _shifted_difference(coeffs, n, h, k) - _shifted_difference(coeffs, n, h0, k)
+        slack = 1e-13 * 2.0 ** k * float(np.sum(np.abs(amps))) * freqs[-1]
+        if math.isfinite(slope):  # off near the alias limit
+            assert np.abs(gap).max() <= k * 2.0 ** (k - 1) * abs(h - h0) * slope + slack
+        bound = function_model._difference_bounds(np.array([h]), np.array([h0]), freqs, amps,
+                                                  k, p, slope)[0]
+        assert oracles.brute_lp_norm(gap, p) <= bound * (1.0 + 1e-12) + slack
+
+    @pytest.mark.parametrize("n", [16, 64, 4096])
+    def test_supports_near_the_alias_limit_switch_the_cap_off(self, n):
+        # (pi F / n)^2 < 2 holds up to F = 0.45 n
+        top = int(n * math.sqrt(2.0) / math.pi)
+        assert math.isfinite(function_model._slope_bound(harmonic(top), n))
+        for f in range(top + 1, n // 2):
+            assert function_model._slope_bound(harmonic(f), n) == math.inf
+
+    def test_power_law_table_at_p3_evaluates_few_rows(self, irfft_rows):
+        # omega(1 / nu) for nu = 1..256: 5.04 grid rows per call, the h = t row included,
+        # and one irfft row for the slope bound; 13.02 without the cap
+        ser = power_law_series(2.0, 256)
+        for nu in range(1, 257):
+            modulus(ser, ModulusRequest(k=1, t=1.0 / nu, p=3.0), 4096)
+        assert sum(irfft_rows) / 256 <= 5.1
+
+
+class TestGridFloatRange:
+    """Rows whose powers |x|^p would leave the float range are scaled by powers of two."""
+
+    def test_tiny_step_bound_is_linear(self):
+        ser = power_law_series(2.0, 256)
+        at = [modulus(ser, ModulusRequest(k=1, t=t, p=3.0), 4096) for t in (1e-160, 1e-100)]
+        assert at[0] == pytest.approx(1e-60 * at[1], rel=1e-12, abs=0.0)
+
+    def test_order_600_is_finite(self):
+        ser = power_law_series(2.0, 256)
+        got = modulus(ser, ModulusRequest(k=600, t=0.5, p=3.0, h_samples=17), 4096)
+        want = oracles.modulus_grid_full_scan(ser.coeffs, 600, 0.5, 3.0, 17, 4096)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @given(coeffs=_signed_support(1, 40), m=st.integers(-1000, 1000),
+           k=st.sampled_from([1, 2, 3]), t=st.floats(1e-12, math.pi),
+           p=st.sampled_from([1.5, 2.0, 3.0, 4.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_homogeneous_under_powers_of_two(self, coeffs, m, k, t, p):
+        ser = CosineSeries(coeffs)
+        n = auto_grid_size(ser, 8)
+        req = ModulusRequest(k=k, t=t, p=p, h_samples=33)
+        want = math.ldexp(modulus(ser, req, n), m)
+        assume(want >= 2.0**-1000)  # below, the scaled value itself loses digits
+        got = modulus(CosineSeries(np.ldexp(coeffs, m)), req, n)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
