@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CosineSeries, FunctionalCurve, _check_levels
+from .core import CosineSeries, FunctionalCurve, _check_levels, is_order
 from .errors import DivideByZeroError, DomainError, TagError
 from .function_model import auto_grid_size, lp_norm, synthesize
 
@@ -151,7 +151,7 @@ def modulus_bounds_monotone(series: CosineSeries, n: int, k: int, p: float) -> M
         raise DomainError("n must be >= 1")
     if not (1.0 < p < math.inf):
         raise DomainError(f"exponent p must lie in (1, inf), got {p}")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not is_order(k):
         raise DomainError(f"order k must be a positive integer, got {k}")
     return ModulusBracket(
         head_term=n ** (-float(k)) * _head_sum(series, n, p, (k + 1) * p - 2) ** (1.0 / p),

@@ -62,9 +62,20 @@ from .errors import (
 from .function_model import (DEFAULT_H_SAMPLES, MAX_H_SAMPLES, ModulusRequest, auto_grid_size,
                              modulus, modulus_p2_exact)
 
+
+def _each(ok, what: str) -> tuple:
+    """(valid, message) of a list key each of whose entries must pass ok: be what."""
+    return (lambda v: all(map(ok, v))), "{key} entries must be " + what + ", got {}"
+
+
+_POSITIVE = _each(lambda x: 0.0 < x < math.inf, "positive and finite")  # NaN fails too
+_LEMMAS = ("jensen", *inequalities.LEMMAS)
+_FAMILIES = (*inequalities.SEQUENCE_FAMILIES, "random")
+_VARIANTS = ("tail", "head")
+
 #: Every config key: dotted name -> (type, default[, valid, message]).  A list type
 #: such as [float] is a comma list of that type; a default of None means the key has
-#: none.  A set value v (a whole list) failing valid(v) exits 2 with message.format(v).
+#: none.  A set value v (a whole list) failing valid(v) exits 2: message.format(v, key=key).
 CONFIG_KEYS = {
     "series.coeffs": ([float], None),
     "series.generator": (str, None),
@@ -80,7 +91,8 @@ CONFIG_KEYS = {
     "phi.deltas": ([float], None),
     "phi.values": ([float], None),
     "sweep.n_values": ([int], (2, 4, 8, 16, 32, 64, 128, 256)),
-    "sweep.t_values": ([float], tuple(math.pi * i / 8.0 for i in range(1, 9))),
+    "sweep.t_values": ([float], tuple(math.pi * i / 8.0 for i in range(1, 9)),
+                       *_each(lambda t: 0.0 <= t <= math.pi, "in [0, pi]")),
     "sweep.h_samples": (int, DEFAULT_H_SAMPLES, lambda v: 16 <= v <= MAX_H_SAMPLES,
                         f"invalid sweep: h_samples must be at least 16 and at most {MAX_H_SAMPLES}, "
                         "got {}"),
@@ -90,18 +102,16 @@ CONFIG_KEYS = {
                              "tolerances.slope_tol must not be NaN"),
     "tolerances.truncation_budget": (float, 0.5, lambda v: v >= 0,  # NaN fails too
                                      "tolerances.truncation_budget must be >= 0 or inf, got {}"),
-    "ineq.lemmas": ([str], ("jensen", "hardy_upper", "hardy_lower", "reverse_copson",
-                            "two_sided")),
-    "ineq.families": ([str], ("power", "geometric", "log_power", "random")),
-    "ineq.alpha_values": ([float], (0.5, 1.0, 2.0)),
-    "ineq.lambda_values": ([float], (-0.5, 0.0, 0.5)),
-    "ineq.p_values": ([float], (1.0, 2.0, 3.0)),
-    "ineq.p_lower_values": ([float], (0.25, 0.5, 1.0)),
-    "ineq.m_values": ([int], (2,), lambda v: all(x >= 1 for x in v),
-                      "ineq.m_values entries must be >= 1, got {}"),
-    "ineq.n_values": ([int], (32, 128), lambda v: all(x >= 1 for x in v),
-                      "ineq.n_values entries must be >= 1, got {}"),
-    "ineq.variants": ([str], ("tail", "head")),
+    "ineq.lemmas": ([str], _LEMMAS, *_each(_LEMMAS.__contains__, "one of " + ",".join(_LEMMAS))),
+    "ineq.families": ([str], _FAMILIES,
+                      *_each(_FAMILIES.__contains__, "one of " + ",".join(_FAMILIES))),
+    "ineq.alpha_values": ([float], (0.5, 1.0, 2.0), *_POSITIVE),
+    "ineq.lambda_values": ([float], (-0.5, 0.0, 0.5), *_each(math.isfinite, "finite")),
+    "ineq.p_values": ([float], (1.0, 2.0, 3.0), *_POSITIVE),
+    "ineq.p_lower_values": ([float], (0.25, 0.5, 1.0), *_POSITIVE),
+    "ineq.m_values": ([int], (2,), *_each(lambda x: x >= 1, ">= 1")),
+    "ineq.n_values": ([int], (32, 128), *_each(lambda x: x >= 1, ">= 1")),
+    "ineq.variants": ([str], _VARIANTS, *_each(_VARIANTS.__contains__, "one of tail,head")),
     "ineq.jensen_cases": (int, 100, lambda v: v >= 0, "ineq.jensen_cases must be >= 0, got {}"),
     "ineq.jensen_len": (int, 32, lambda v: v >= 0, "ineq.jensen_len must be non-negative, got {}"),
 }
@@ -210,7 +220,7 @@ def setting(cfg: dict, key: str):
     value = ([_coerce(kind[0], v, key) for v in (value if isinstance(value, list) else [value])]
              if isinstance(kind, list) else _coerce(kind, value, key))
     if rule and not rule[0](value):
-        raise ConfigError(rule[1].format(value))
+        raise ConfigError(rule[1].format(value, key=key))
     return value
 
 
@@ -223,8 +233,7 @@ def build_series(cfg: dict, seed: int) -> CosineSeries:
     tail = _build_tail(setting(cfg, "series.tail"))
     coeffs = setting(cfg, "series.coeffs")
     if coeffs is not None:
-        return CosineSeries(np.asarray(coeffs, dtype=float),
-                            tag="general" if tag is None else tag, tail=tail)
+        return CosineSeries(coeffs, tag="general" if tag is None else tag, tail=tail)
     gen = setting(cfg, "series.generator")
     if gen is None:
         raise ConfigError("config needs series.coeffs or series.generator")
@@ -233,19 +242,20 @@ def build_series(cfg: dict, seed: int) -> CosineSeries:
     def arg(i: int, convert, default):
         return _coerce(convert, args[i], f"series.generator {gen!r}") if i < len(args) else default
 
-    if kind == "power":
-        base = power_law_series(arg(0, float, 2.0), arg(1, int, 4096), with_tail=tail is None)
-        return CosineSeries(base.coeffs, tag=tag if tag not in (None, "general") else "monotone",
-                            tail=tail if tail is not None else base.tail)
     if kind == "lacunary_geometric":
         if tag not in (None, "lacunary") or tail is not None:
             raise ConfigError(f"series.generator {gen!r} makes a lacunary series with no "
                               "tail: series.tag must be lacunary or unset, series.tail none")
         return lacunary_geometric_series(arg(0, float, 0.5), arg(1, int, 16))
-    if kind == "random_bandlimited":
+    if kind == "power":
+        base = power_law_series(arg(0, float, 2.0), arg(1, int, 4096), with_tail=tail is None)
+        tag, tail = "monotone" if tag in (None, "general") else tag, tail or base.tail
+    elif kind == "random_bandlimited":
         base = random_bandlimited_series(np.random.default_rng(seed), arg(0, int, 64))
-        return CosineSeries(base.coeffs, tag="general" if tag is None else tag, tail=tail)
-    raise ConfigError(f"unknown series generator {kind!r}")
+    else:
+        raise ConfigError(f"unknown series generator {kind!r}")
+    return CosineSeries.from_support(*base.support(), base.n_stored,
+                                     tag="general" if tag is None else tag, tail=tail)
 
 
 def _build_tail(spec: str) -> PowerLawTail | None:
@@ -369,19 +379,13 @@ def cmd_modulus(cfg: dict, args) -> Report:
     h_samples = setting(cfg, "sweep.h_samples")
     grid_n = setting(cfg, "sweep.grid_n")
     n = grid_n if grid_n is not None else auto_grid_size(series)
-    try:
-        reqs = [ModulusRequest(k=params.k, t=t, p=params.p, h_samples=h_samples)
-                for t in setting(cfg, "sweep.t_values")]
-    except ConstraintViolation as exc:
-        raise ConfigError(f"invalid sweep: {exc}") from exc
     include_exact = params.p == 2.0
     columns = ["t", "omega"] + (["omega_p2_exact"] if include_exact else [])
     rows = []
-    for req in reqs:
-        row = [req.t, modulus(series, req, n)]
+    for t in setting(cfg, "sweep.t_values"):
+        rows.append([t, modulus(series, ModulusRequest(params.k, t, params.p, h_samples), n)])
         if include_exact:
-            row.append(modulus_p2_exact(series, params.k, req.t, h_samples))
-        rows.append(row)
+            rows[-1].append(modulus_p2_exact(series, params.k, t, h_samples))
     return Report(columns=columns, rows=rows, comments=[f"grid_n={n} h_samples={h_samples}"])
 
 
@@ -487,16 +491,6 @@ INEQ_COLUMNS = ["lemma_id", "variant", "alpha", "lambda_exp", "p", "m", "n",
                 "lhs", "rhs", "ratio", "seed", "status", "direction", "clause"]
 
 
-def _make_sequence(family: str, n: int, seed: int, index: int) -> tuple[np.ndarray, int | None]:
-    if family == "random":
-        rng = inequalities.case_rng(seed, index)
-        return inequalities.random_monotone_sequence(rng, n), index
-    try:
-        return inequalities.SEQUENCE_FAMILIES[family](n), None
-    except KeyError:
-        raise ConfigError(f"unknown sequence family {family!r}") from None
-
-
 def cmd_ineq_sweep(cfg: dict, args) -> Report:
     """Rows in grid order: cases are checked in that order, and summed in blocks of one
     n and variant (the Jensen cases form one more block) once they hold enough terms."""
@@ -538,16 +532,16 @@ def cmd_ineq_sweep(cfg: dict, args) -> Report:
         grid = itertools.product(families, alphas, lams, ps_low if lemma == "hardy_lower" else ps,
                                  ms, nvals, variants)
         for family, alpha, lam, p, m, n, variant in grid:
-            # IneqCase's sequence checks always pass: a family's sequence is finite,
-            # non-negative and n long by construction
+            # IneqCase's checks always pass: alpha, p, m and n are checked where the config
+            # is read, and a family's sequence is finite, non-negative and n long
             if family == "random" or (family, n) not in samples:
-                seq, used_seed = _make_sequence(family, n, seed, len(rows))
+                used_seed = len(rows) if family == "random" else None
+                seq = (inequalities.SEQUENCE_FAMILIES[family](n) if used_seed is None else
+                       inequalities.random_monotone_sequence(
+                           inequalities.case_rng(seed, used_seed), n))
                 samples[family, n] = seq, used_seed, inequalities.non_increasing(seq)
             seq, used_seed, monotone = samples[family, n]
             base = [lemma, variant, alpha, lam, p, m, n]
-            inequalities.check_parameters(alpha, p, m, n)
-            if lemma not in inequalities.LEMMAS:
-                raise ConfigError(f"unknown lemma {lemma!r}")
             try:
                 clause = inequalities.clause(lemma, p, m, n, variant, monotone)
             except PreconditionError as exc:
@@ -607,12 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in NEEDS_CONFIG:
-            if not args.config:
-                raise ConfigError(f"command {args.command!r} requires --config")
-            cfg = load_config(args.config)
-        else:
-            cfg = load_config(args.config) if args.config else {}
+        if args.command in NEEDS_CONFIG and not args.config:
+            raise ConfigError(f"command {args.command!r} requires --config")
+        cfg = load_config(args.config) if args.config else {}
         report = COMMANDS[args.command](cfg, args)
         emit(report, args.command, args.out, args.format, args.quiet)
         return 0

@@ -47,8 +47,9 @@ class PowerLawTail:
         return self.c * np.asarray(nus, dtype=float) ** (-self.s)
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def is_order(k) -> bool:
+    """Whether k is a difference order: a positive integer, and not a bool (an int subclass)."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -213,8 +214,8 @@ class ClassParams:
 
     def __post_init__(self):
         p, theta, r, lam, k = self.p, self.theta, self.r, self.lam, self.k
-        if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool)):
-            raise ConstraintViolation(f"k must be an integer, got {k!r}")
+        if not is_order(k):
+            raise ConstraintViolation(f"k must be a positive integer, got {k!r}")
         for name, val in (("p", p), ("theta", theta), ("r", r), ("lambda", lam)):
             if not (isinstance(val, (int, float, np.floating, np.integer)) and math.isfinite(val)):
                 raise ConstraintViolation(f"{name} must be a finite real, got {val!r}")
@@ -222,8 +223,6 @@ class ClassParams:
             raise ConstraintViolation(f"p must lie in (1, inf), got {p}")
         if theta <= 0 or r <= 0 or lam <= 0:
             raise ConstraintViolation("theta, r and lambda must be positive")
-        if k < 1:
-            raise ConstraintViolation(f"k must be a positive integer, got {k}")
         if not (k > r + lam):
             raise ConstraintViolation(f"need k > r + lambda, got k={k} <= {r + lam}")
         for name, val in zip(("p", "theta", "r", "lam", "k"), (p, theta, r, lam, k)):
@@ -372,7 +371,7 @@ class GridFunction:
         if samples.ndim != 1:
             raise ConstraintViolation("samples must be one-dimensional")
         n = samples.size
-        if n < 8 or not _is_pow2(n):
+        if n < 8 or n & (n - 1):
             raise ConstraintViolation(f"grid size must be a power of two >= 8, got {n}")
         if not np.all(np.isfinite(samples)):
             raise ConstraintViolation("samples must be finite")

@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .core import DENSE_LIMIT, CosineSeries, GridFunction
+from .core import DENSE_LIMIT, CosineSeries, GridFunction, is_order
 from .errors import AliasError, ConstraintViolation, DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -55,8 +55,7 @@ class ModulusRequest:
     h_samples: int = DEFAULT_H_SAMPLES
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool)
-                and self.k >= 1):
+        if not is_order(self.k):
             raise ConstraintViolation(f"difference order k must be a positive integer, got {self.k}")
         # t = 0 is allowed as the degenerate endpoint (the modulus is then 0)
         if not (0.0 <= self.t <= math.pi):
@@ -125,7 +124,7 @@ def difference(f: GridFunction, h: float, k: int, series: CosineSeries | None = 
     When the originating series is supplied, the shifted values are resynthesised
     exactly from its coefficients; otherwise the grid is Fourier-interpolated.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not is_order(k):
         raise DomainError(f"difference order k must be a positive integer, got {k}")
     n = f.size
     if series is not None:
@@ -215,23 +214,31 @@ def _in_batches(fn, h_chunk: int, *rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tiny_scale(x: float) -> int:
+    """s with 2^s x in [1/2, 1) where x < 2^-26, else 0: for x >= nu_max h, the exact scale after
+    the sine that keeps the powers of the factors 2 sin(nu h / 2) of tiny shifts in range."""
+    return -math.frexp(x)[1] if x < 2.0**-26 else 0
+
+
 def _row_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
                 req: ModulusRequest, h_chunk: int, slope: float = math.inf) -> np.ndarray:
     """_holder_bounds of the rows hs[:-1] of shift_grid(req.t, req.h_samples), with
     m_nu = |2 sin(nu h / 2)|^k and sup caps 2^(k-1) h slope.  Where nu t <= pi, m_nu <=
-    rho^k m_nu(t) as in _p2_table; m_nu is evaluated for nu t > pi, h_chunk rows a batch."""
+    rho^k m_nu(t) as in _p2_table; m_nu is evaluated for nu t > pi, h_chunk rows a batch.
+    The factors take _tiny_scale(nu_max t), and the bounds, of degree k in them, undo it."""
+    k, s = req.k, _tiny_scale(float(freqs[-1]) * req.t)
     # overflow (of (2 sin)^(2k), say) gives inf or NaN bounds, which keep their rows
     with np.errstate(over="ignore", invalid="ignore"):
-        terms_t = _sin_form_terms(req.t, freqs, req.k)
+        terms_t = _sin_form_terms(req.t, freqs, k, s)
         ends = np.searchsorted(freqs * req.t, _TWO_Y, side="right")  # nu t <= 2 y_b for ends[b] nu
         low, (l2_b, sup_b) = ends[-1], (
             np.diff(np.concatenate(([0.0], np.cumsum(x[:ends[-1]])))[ends], prepend=0.0)
             for x in (amps * amps * terms_t, np.abs(amps) * np.sqrt(terms_t)))
-        ratios = _bucket_ratios(req.k, req.h_samples)
-        return _in_batches(lambda h, l2, sup, cap: _holder_bounds(
-            _sin_form_terms(h, freqs[low:], req.k), amps[low:], req.p, l2, sup, cap),
+        ratios = _bucket_ratios(k, req.h_samples)
+        return np.ldexp(_in_batches(lambda h, l2, sup, cap: _holder_bounds(
+            _sin_form_terms(h, freqs[low:], k, s), amps[low:], req.p, l2, sup, cap),
             h_chunk, hs[:-1], ratios @ l2_b, np.sqrt(ratios) @ sup_b,
-            np.ldexp(hs[:-1] * slope, req.k - 1))
+            np.ldexp(hs[:-1] * slope, k - 1 + k * s)), -k * s)
 
 
 def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
@@ -282,7 +289,9 @@ def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
     The half angles are the ones the grid rows are built from, so the sine of their
     difference bounds the rows as evaluated.  The sup cap k 2^(k-1) |h - h0| slope follows
     from Delta_h^k - Delta_h0^k = sum_i Delta_h^i (Delta_h - Delta_h0) Delta_h0^(k-1-i).
+    At tiny shifts the factors are scaled as in _row_bounds, and the bounds back.
     """
+    s = _tiny_scale(float(freqs[-1]) * max(hs.max(initial=0.0), h0s.max(initial=0.0)))
     half = 0.5 * freqs
     z = np.multiply.outer(hs, half)
     w = np.multiply.outer(h0s, half)
@@ -290,7 +299,7 @@ def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
     for arg in (m, z, w):
         np.sin(arg, out=arg)
         np.abs(arg, out=arg)
-        arg *= 2.0
+        np.ldexp(arg, 1 + s, out=arg)
     # M_1 = m and M_(j+1) = z M_j + m w^j give M_k = m sum_j z^j w^(k-1-j)
     mw = m.copy()
     for _ in range(k - 1):
@@ -299,7 +308,8 @@ def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
         m += mw
     np.multiply(m, m, out=m)
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf gives a NaN cap
-        return _holder_bounds(m, amps, p, sup_cap=np.ldexp(k * np.abs(hs - h0s) * slope, k - 1))
+        return np.ldexp(_holder_bounds(m, amps, p, sup_cap=np.ldexp(
+            k * np.abs(hs - h0s) * slope, k - 1 + k * s)), -k * s)
 
 
 def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float, l2_rest=0.0, sup_rest=0.0,

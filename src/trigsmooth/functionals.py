@@ -144,13 +144,18 @@ def _point_weights(nus: np.ndarray, a: float) -> np.ndarray:
     return nus ** (a - 1.0)
 
 
-def _omega_form(series: CosineSeries, params: ClassParams, n: int, nu_max: int,
-                table: ModulusTable | None, weights, head_scale: float) -> Truncated:
+def _omega_form(series: CosineSeries, params: ClassParams, n: int, nu_max: int | None,
+                range_name: str, table: ModulusTable | None, weights,
+                head_scale: float) -> Truncated:
     """(sum_{nu>n} w(1/nu)^th weights(nu, r*th) + remainder
     + head_scale * sum_{nu<=n} w(1/nu)^th weights(nu, (r+l)*th))^{1/th}.
 
-    The tail is truncated at nu_max with a power-law extrapolation of the remainder.
+    The tail is truncated at nu_max, by default max(4n, MIN_NU_MAX), with a power-law
+    extrapolation of the remainder; a nu_max below 4n is a DomainError naming it range_name.
     """
+    nu_max = nu_max if nu_max is not None else max(4 * n, MIN_NU_MAX)
+    if nu_max < 4 * n:
+        raise DomainError(f"{range_name} must be at least 4n = {4 * n}")
     th, r, lam = params.theta, params.r, params.lam
     if table is None:
         table = ModulusTable(series, params.k, params.p)
@@ -175,12 +180,8 @@ def integral_record(series: CosineSeries, params: ClassParams, delta: float,
     at w(1/nu) per cell; the singular integral is truncated at quad_points cells
     with a power-law extrapolation of the remainder.
     """
-    n = _delta_to_n(delta)
-    nu_max = quad_points if quad_points is not None else max(4 * n, MIN_NU_MAX)
-    if nu_max < 4 * n:
-        raise DomainError(f"quad_points must be at least 4n = {4 * n}")
-    return _omega_form(series, params, n, nu_max, table, _segment_weights,
-                       delta ** (params.lam * params.theta))
+    return _omega_form(series, params, _delta_to_n(delta), quad_points, "quad_points", table,
+                       _segment_weights, delta ** (params.lam * params.theta))
 
 
 def integral_form(series: CosineSeries, params: ClassParams, delta: float,
@@ -194,10 +195,7 @@ def series_record(series: CosineSeries, params: ClassParams, n: int,
     """Series form over moduli of the class functional at scale 1/n, with its truncation."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    nu_max = nu_max if nu_max is not None else max(4 * n, MIN_NU_MAX)
-    if nu_max < 4 * n:
-        raise DomainError(f"nu_max must be at least 4n = {4 * n}")
-    return _omega_form(series, params, n, nu_max, table, _point_weights,
+    return _omega_form(series, params, n, nu_max, "nu_max", table, _point_weights,
                        float(n) ** (-params.lam * params.theta))
 
 

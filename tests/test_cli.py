@@ -113,6 +113,39 @@ class TestConfigParsing:
         assert main(["ineq-sweep", "--config", cfg]) == 2
         assert f"{key} entries must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("ineq.alpha_values", "-1"), ("ineq.p_values", "0"), ("ineq.lambda_values", "nan"),
+        ("ineq.p_lower_values", "inf"), ("ineq.variants", "sideways"),
+    ])
+    def test_bad_ineq_grid_values_exit_2_naming_the_key(self, tmp_path, capsys, key, value):
+        # these exited 3 once the sweep reached them, after the cases before them
+        cfg = write_cfg(tmp_path, f"ineq.lemmas = hardy_upper,hardy_lower\n{key} = {value}\n")
+        assert main(["ineq-sweep", "--config", cfg]) == 2
+        assert f"config error: {key} entries must be" in capsys.readouterr().err
+
+    def test_unknown_lemma_exits_2_with_an_empty_grid(self, tmp_path, capsys):
+        # with no family the grid has no case to reach the lemma check
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"ineq": {"lemmas": ["jensen", "bogus"], "families": []}}))
+        assert main(["ineq-sweep", "--config", str(path)]) == 2
+        assert "ineq.lemmas entries must be one of jensen," in capsys.readouterr().err
+
+    def test_unknown_family_exits_2_before_any_case(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a case was built")
+
+        monkeypatch.setattr(iq, "clause", refuse)
+        monkeypatch.setattr(iq, "hardy_verdicts", refuse)
+        cfg = write_cfg(tmp_path, "ineq.families = power,bogus\n")
+        assert main(["ineq-sweep", "--config", cfg]) == 2
+        assert "ineq.families entries must be one of" in capsys.readouterr().err
+
+    def test_step_bound_out_of_range_names_the_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("sweep.t_values = 0.5,1.0",
+                                                   "sweep.t_values = 0.5,nan"))
+        assert main(["modulus", "--config", cfg]) == 2
+        assert "sweep.t_values entries must be in [0, pi]" in capsys.readouterr().err
+
 
 class TestConfigKeys:
     def test_unknown_key_exits_2_and_is_named(self, tmp_path, capsys):

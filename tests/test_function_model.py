@@ -21,6 +21,7 @@ from trigsmooth import (
     synthesize,
 )
 from trigsmooth import function_model
+from trigsmooth.approximation import modulus_bounds_monotone
 from trigsmooth.core import DENSE_LIMIT
 from trigsmooth.errors import ConstraintViolation
 from trigsmooth.function_model import MAX_H_SAMPLES, auto_grid_size
@@ -695,6 +696,14 @@ class TestBooleanOrder:
         with pytest.raises(DomainError, match="positive integer, got True"):
             modulus_p2_exact(power_law_series(2.0, 64), True, 0.5)
 
+    def test_difference_refuses_bool_order(self):
+        with pytest.raises(DomainError, match="positive integer, got True"):
+            difference(synthesize(power_law_series(2.0, 8), 32), 0.3, True)
+
+    def test_monotone_bracket_refuses_bool_order(self):
+        with pytest.raises(DomainError, match="positive integer, got True"):
+            modulus_bounds_monotone(power_law_series(2.0, 64), 4, True, 2.0)
+
 
 def _evaluated_row(coeffs, n, h, k):
     """Delta_h^k f on the n-point grid, built as the grid modulus builds its rows."""
@@ -788,3 +797,33 @@ class TestGridFloatRange:
         assume(want >= 2.0**-1000)  # below, the scaled value itself loses digits
         got = modulus(CosineSeries(np.ldexp(coeffs, m)), req, n)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+class TestGridTinyStep:
+    """At tiny t the grid bounds scale their sine factors by a power of two, so that their
+    powers do not underflow below the rows they bound."""
+
+    @pytest.mark.parametrize("k, t", [(1, 1e-160), (2, 1e-100), (3, 1e-70)])
+    def test_bounds_are_positive_and_homogeneous_of_degree_k(self, k, t):
+        ser = power_law_series(2.0, 256)
+        freqs, amps = ser.support()
+        slope = function_model._slope_bound(ser, 4096)
+
+        def bounds(t):
+            req = ModulusRequest(k=k, t=t, p=3.0)
+            hs = function_model.shift_grid(t, 257)
+            rows = function_model._row_bounds(hs, freqs, amps, req, 512, slope)[1:]
+            diffs = function_model._difference_bounds(hs[1:17], hs[:16], freqs, amps, k, 3.0,
+                                                      slope)
+            return np.concatenate((rows, diffs))
+
+        small, large = bounds(t), bounds(1e10 * t)
+        assert np.all(small > 0.0)
+        np.testing.assert_allclose(large, small * 1e10 ** k, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k, t", [(2, 1e-100), (3, 1e-70)])
+    def test_value_matches_full_scan(self, k, t):
+        ser = power_law_series(2.0, 256)
+        got = modulus(ser, ModulusRequest(k=k, t=t, p=3.0), 4096)
+        want = oracles.modulus_grid_full_scan(ser.coeffs, k, t, 3.0, 257, 4096)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
