@@ -27,7 +27,7 @@ DEFAULT_GRID_N = 4096
 DEFAULT_H_SAMPLES = 257
 #: modulus_p2_exact scans every shift row of supports up to this size
 _EXACT_BLOCK = 64
-#: entries in each block array of the p = 2 table kernel _p2_table
+#: entries in each block array of the table kernels _p2_table and _grid_table
 _BLOCK_ENTRIES = 2**14
 #: buckets of equal width in nu t / 2 over (0, pi / 2] in the low band of the
 #: modulus_p2_exact row bound
@@ -136,73 +136,80 @@ def difference(f: GridFunction, h: float, k: int, series: CosineSeries | None = 
     return GridFunction(out)
 
 
-def shift_grid(t: float, h_samples: int) -> np.ndarray:
-    """Uniform shift samples on [0, t], both endpoints included."""
+def shift_grid(t, h_samples: int) -> np.ndarray:
+    """Uniform shift samples on [0, t], both endpoints included; for an array t, one row per
+    entry, each np.linspace's bit for bit wherever t / (h_samples - 1) is not 0."""
+    if isinstance(t, np.ndarray):
+        return np.hstack((np.arange(h_samples - 1) * (t / (h_samples - 1))[:, None], t[:, None]))
     return np.linspace(0.0, t, h_samples)
 
 
 def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) -> float:
     """Grid modulus of smoothness: max over the shift grid of the L_p difference norm.
 
-    Only h >= 0 is scanned; the norm of the k-th difference is even in h.
+    Only h >= 0 is scanned; the norm of the k-th difference is even in h.  The sup is
+    certified rather than scanned, by the one-t call of the table kernel _grid_table."""
+    return 0.0 if req.t == 0.0 else float(_grid_table(series, req, np.array([req.t]), n)[0])
 
-    The sup is certified rather than scanned.  The row h = t is evaluated on the
-    grid first and every other row g = Delta_h^k f is bounded from its coefficients
-    (_row_bounds).  The candidates are the rows whose bound, times 1 +
-    _BOUND_SLACK, is not below that value.  Candidates at a multiple of
-    _ANCHOR_STEP shifts are evaluated next, as anchors, with the row h = t.  Every
-    other candidate h is also bounded by value(h0) + D for the evaluated anchors h0
-    at the two ends of its block, D bounding Delta_h^k f - Delta_h0^k f: at k = 1
-    by the bound of row |h - h0| / step, whose coefficient moduli it has, else by
-    _difference_bounds.  Only candidates whose smallest bound reaches the best value
-    so far are evaluated; the rest are provably lower, so the value is the grid sup.
-    At p > 2 the sup factors are capped from L >= sup |f'| (_slope_bound): row h's by
-    2^(k-1) h L, and D's by k 2^(k-1) |h - h0| L (_difference_bounds).  Amplitudes past
-    2^+-256 are scaled by a power of two, exactly, and the value is scaled back.
-    """
-    if req.t == 0.0:
-        return 0.0
+
+def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: int) -> np.ndarray:
+    """modulus(series, req, n) at each t > 0 of ts in place of req.t, bit for bit, in
+    blocks of t whose bound arrays hold at most _BLOCK_ENTRIES entries; each stage below is
+    one batched call for a block, and grid rows go 2**20 // n a batch (8 MiB of spectrum).
+
+    The row h = t is evaluated on the grid first, and every other row g = Delta_h^k f is
+    bounded from its coefficients (_row_bounds); the candidates are the rows whose bound,
+    times 1 + _BOUND_SLACK, reaches that value.  Candidates at a multiple of _ANCHOR_STEP
+    shifts are evaluated next, as anchors.  Every other candidate h is also bounded by
+    value(h0) + D for the evaluated anchors h0 at the two ends of its block, D bounding
+    Delta_h^k f - Delta_h0^k f: at k = 1 by the bound of row |h - h0| / step, whose
+    coefficient moduli it has, else by _difference_bounds.  Only candidates whose smallest
+    bound reaches the best value so far are evaluated; the rest are provably lower.  At
+    p > 2 the sup factors are capped from L >= sup |f'| (_slope_bound).  Amplitudes past
+    2^+-256 are scaled by a power of two, exactly, and the values are scaled back."""
     _check_grid(series, n)
     freqs, amps = series.support()
     if freqs.size == 0:
-        return 0.0
+        return np.zeros(ts.size)
     scale = -math.frexp(float(np.abs(amps).max()))[1]
     amps = np.ldexp(amps, scale := scale if abs(scale) > 256 else 0)
     slope = math.ldexp(_slope_bound(series, n), scale) if req.p > 2.0 else math.inf
-    hs = shift_grid(req.t, req.h_samples)
-    # rows per batch: about 2**22 complex spectrum entries at every grid size, and at
-    # most 2**22 entries in each coefficient matrix, since n > 2 * freqs.size
-    h_chunk = max(1, 2**23 // n)
+    last, h_chunk = req.h_samples - 1, max(1, 2**20 // n)
 
-    def norms(rows):
-        return _in_batches(lambda h: _grid_norms(h, freqs, amps, req, n), h_chunk, hs[rows])
+    def norms(hs):
+        return _in_batches(lambda h: _grid_norms(h, freqs, amps, req, n), h_chunk, hs)
 
-    last = hs.size - 1
-    # NaN marks a row that is not evaluated
-    values = np.full(hs.size, np.nan)
-    values[last] = norms([last])[0]
-    bound = _row_bounds(hs, freqs, amps, req, h_chunk, slope)
-    # a NaN or inf bound keeps its row
-    cand = np.flatnonzero(~(bound * (1.0 + _BOUND_SLACK) < values[last]))
-    anchors = cand[cand % _ANCHOR_STEP == 0]
-    values[anchors] = norms(anchors)
-    best = values[anchors].max(initial=values[last])
-    others = cand[cand % _ANCHOR_STEP != 0]
-    below = others - others % _ANCHOR_STEP
-    offset = bound[:_ANCHOR_STEP].copy()  # bounds, not values: D's row is translated by h0
-    for ends in (below, np.minimum(below + _ANCHOR_STEP, last)):
-        near = ~np.isnan(values[ends])
-        rows, anchor = others[near], ends[near]
-        # overflow only loosens a neighbour bound to inf, or to NaN via 0 * inf, and
-        # fmin then keeps the row's other bound
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = offset[np.abs(rows - anchor)] if req.k == 1 else _in_batches(
-                lambda h, h0: _difference_bounds(h, h0, freqs, amps, req.k, req.p, slope),
-                h_chunk, hs[rows], hs[anchor])
-            bound[rows] = np.fmin(bound[rows], values[anchor] + diff)
-    kept = others[~(bound[others] * (1.0 + _BOUND_SLACK) < best)]
+    def block(ts):
+        hs = shift_grid(ts, req.h_samples)
+        # NaN marks a row that is not evaluated
+        values = np.full(hs.shape, np.nan)
+        values[:, last] = norms(ts)
+        bound = _row_bounds(hs, freqs, amps, req, _BLOCK_ENTRIES, slope, values[:, last:])
+        # a NaN or inf bound keeps its row
+        i, j = np.nonzero(~(bound * (1.0 + _BOUND_SLACK) < values[:, last:]))
+        at = j % _ANCHOR_STEP == 0
+        values[i[at], j[at]] = norms(hs[i[at], j[at]])
+        best = np.nanmax(values, axis=1)
+        i, j = i[~at], j[~at]
+        below = j - j % _ANCHOR_STEP
+        offset = bound[:, :_ANCHOR_STEP].copy()  # bounds, not values: D's row is translated by h0
+        for ends in (below, np.minimum(below + _ANCHOR_STEP, last)):
+            near = ~np.isnan(values[i, ends])
+            rows, cols, anchor = i[near], j[near], ends[near]
+            # overflow only loosens a neighbour bound to inf, or to NaN via 0 * inf, and
+            # fmin then keeps the row's other bound
+            with np.errstate(over="ignore", invalid="ignore"):
+                diff = offset[rows, np.abs(cols - anchor)] if req.k == 1 else _in_batches(
+                    lambda h, h0: _difference_bounds(h, h0, freqs, amps, req.k, req.p, slope),
+                    max(1, _BLOCK_ENTRIES // freqs.size), hs[rows, cols], hs[rows, anchor])
+                bound[rows, cols] = np.fmin(bound[rows, cols], values[rows, anchor] + diff)
+        kept = ~(bound[i, j] * (1.0 + _BOUND_SLACK) < best[i])
+        np.maximum.at(best, i[kept], norms(hs[i[kept], j[kept]]))
+        return best
+
     with np.errstate(over="ignore"):  # past the float range: inf
-        return float(np.ldexp(norms(kept).max(initial=best), -scale))
+        return np.ldexp(_in_batches(
+            block, max(1, _BLOCK_ENTRIES // max(freqs.size, req.h_samples)), ts), -scale)
 
 
 def _in_batches(fn, h_chunk: int, *rows: np.ndarray) -> np.ndarray:
@@ -214,31 +221,68 @@ def _in_batches(fn, h_chunk: int, *rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tiny_scale(x: float) -> int:
-    """s with 2^s x in [1/2, 1) where x < 2^-26, else 0: for x >= nu_max h, the exact scale after
-    the sine that keeps the powers of the factors 2 sin(nu h / 2) of tiny shifts in range."""
-    return -math.frexp(x)[1] if x < 2.0**-26 else 0
+def _tiny_scale(x, k: int):
+    """s with 2^s x in [1/2, 1) where x < 2^-26 or x^(2k) may be below 2^-600, else 0, per entry
+    of x >= nu_max h: the exact scale after the sine that keeps (2 sin(nu h / 2))^(2k) in range."""
+    e = math.frexp(x)[1] if isinstance(x, float) else np.frexp(x)[1]  # math is faster on one
+    return -e * ((e <= -26) | (k * e <= -300))
 
 
-def _row_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
-                req: ModulusRequest, h_chunk: int, slope: float = math.inf) -> np.ndarray:
-    """_holder_bounds of the rows hs[:-1] of shift_grid(req.t, req.h_samples), with
-    m_nu = |2 sin(nu h / 2)|^k and sup caps 2^(k-1) h slope.  Where nu t <= pi, m_nu <=
-    rho^k m_nu(t) as in _p2_table; m_nu is evaluated for nu t > pi, h_chunk rows a batch.
-    The factors take _tiny_scale(nu_max t), and the bounds, of degree k in them, undo it."""
-    k, s = req.k, _tiny_scale(float(freqs[-1]) * req.t)
+def _row_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req: ModulusRequest,
+                h_chunk: int, slope: float = math.inf, floor=math.inf) -> np.ndarray:
+    """_holder_bounds of the rows hs[..., :-1] of shift_grid(t, req.h_samples), one grid or
+    one per row of a 2-D hs, with m_nu = |2 sin(nu h / 2)|^k and sup caps 2^(k-1) h slope.
+    Where nu t <= pi, m_nu <= rho^k m_nu(t) as in _p2_table; above, _high_band bounds the
+    sums, h_chunk rows a batch, and rows whose bound, times 1 + _BOUND_SLACK, reaches floor
+    (one per grid) take their own m_nu there, h_chunk entries a batch.  Each grid's factors
+    take _tiny_scale(nu_max t, k), and its bounds undo it; its high band is then empty."""
+    grids = np.atleast_2d(hs)
+    k, f, t, rows = req.k, freqs.astype(float), grids[:, -1], grids[:, :-1]
+    s = _tiny_scale(f[-1] * t, k)
+    w, a, ratios = amps * amps, np.abs(amps), _bucket_ratios(k, req.h_samples)
     # overflow (of (2 sin)^(2k), say) gives inf or NaN bounds, which keep their rows
     with np.errstate(over="ignore", invalid="ignore"):
-        terms_t = _sin_form_terms(req.t, freqs, k, s)
-        ends = np.searchsorted(freqs * req.t, _TWO_Y, side="right")  # nu t <= 2 y_b for ends[b] nu
-        low, (l2_b, sup_b) = ends[-1], (
-            np.diff(np.concatenate(([0.0], np.cumsum(x[:ends[-1]])))[ends], prepend=0.0)
-            for x in (amps * amps * terms_t, np.abs(amps) * np.sqrt(terms_t)))
-        ratios = _bucket_ratios(k, req.h_samples)
-        return np.ldexp(_in_batches(lambda h, l2, sup, cap: _holder_bounds(
-            _sin_form_terms(h, freqs[low:], k, s), amps[low:], req.p, l2, sup, cap),
-            h_chunk, hs[:-1], ratios @ l2_b, np.sqrt(ratios) @ sup_b,
-            np.ldexp(hs[:-1] * slope, k - 1 + k * s)), -k * s)
+        terms_t = _sin_form_terms(t, freqs, k, s[:, None])
+        ends = np.searchsorted(f, _TWO_Y / t[:, None], side="right")  # nu t <= 2 y_b: ends[:, b] nu
+
+        def buckets(x):  # x summed over each bucket, one row per grid
+            sums = np.cumsum(np.hstack((np.zeros((t.size, 1)), x)), axis=1)
+            return np.diff(np.take_along_axis(sums, ends, axis=1), axis=1, prepend=0.0)
+
+        l2, sup = buckets(w * terms_t) @ ratios.T, buckets(a * np.sqrt(terms_t)) @ np.sqrt(ratios).T
+        caps = np.ldexp(rows * slope, (k - 1 + k * s)[:, None])
+        low = np.broadcast_to(ends[:, -1:], l2.shape)
+        high_l2, high_sup = _high_band(f, w, 2 * k), _high_band(f, a, k)
+        bound = _in_batches(lambda h, low, l2, sup, cap: _holder_bounds(  # no sq of its own
+            np.zeros((h.size, 0)), amps[:0], req.p, l2 + high_l2(h, low), sup + high_sup(h, low),
+            cap), h_chunk, *(x.ravel() for x in (rows, low, l2, sup, caps))).reshape(l2.shape)
+
+        def exact(i, j):  # the high band's own m_nu
+            sq = _sin_form_terms(rows[i, j], freqs, k)
+            sq[np.arange(f.size) < low[i, j][:, None]] = 0.0
+            return _holder_bounds(sq, amps, req.p, l2[i, j], sup[i, j], caps[i, j])
+
+        i, j = np.nonzero(~(bound * (1.0 + _BOUND_SLACK) < floor) & (low < f.size))
+        bound[i, j] = _in_batches(exact, max(1, h_chunk // f.size), i, j)
+        bound = np.ldexp(bound, -k * s[:, None])
+    return bound if hs.ndim > 1 else bound[0]
+
+
+def _high_band(f: np.ndarray, c: np.ndarray, j: int):
+    """Bound on sum_{i >= low} c_i |2 sin(f_i h / 2)|^j (c >= 0) as a function of arrays h >= 0
+    and low, from 2 |sin(x / 2)| <= min(|x|, 2): h^j sum c_i f_i^j below m, the first i with
+    f_i >= 2 / h, plus 4 N 2^-53 of the larger prefix sum for rounding, and 2^j sum c_i from
+    m.  The prefix sums are built once; one that overflows gives an inf or NaN bound."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = np.concatenate(([0.0], np.cumsum(c * f ** j)))  # sum_{i < m} c_i f_i^j
+    tail = np.cumsum(np.append(c, 0.0)[::-1])[::-1]  # sum_{i >= m} c_i
+
+    def bound(h, low):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            m = np.maximum(np.searchsorted(f, 2.0 / h), low)
+            below = head[m] - head[low] + 4 * f.size * 2.0**-53 * head[m]
+            return np.where(m > low, h ** j * below, 0.0) + np.ldexp(tail[m], j)
+    return bound
 
 
 def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
@@ -289,9 +333,9 @@ def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
     The half angles are the ones the grid rows are built from, so the sine of their
     difference bounds the rows as evaluated.  The sup cap k 2^(k-1) |h - h0| slope follows
     from Delta_h^k - Delta_h0^k = sum_i Delta_h^i (Delta_h - Delta_h0) Delta_h0^(k-1-i).
-    At tiny shifts the factors are scaled as in _row_bounds, and the bounds back.
+    The factors of each pair take _tiny_scale(nu_max max(h, h0), k), and its bound undoes it.
     """
-    s = _tiny_scale(float(freqs[-1]) * max(hs.max(initial=0.0), h0s.max(initial=0.0)))
+    s = _tiny_scale(freqs[-1] * np.maximum(hs, h0s), k)
     half = 0.5 * freqs
     z = np.multiply.outer(hs, half)
     w = np.multiply.outer(h0s, half)
@@ -299,7 +343,7 @@ def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
     for arg in (m, z, w):
         np.sin(arg, out=arg)
         np.abs(arg, out=arg)
-        np.ldexp(arg, 1 + s, out=arg)
+        np.ldexp(arg, 1 + s[:, None], out=arg)
     # M_1 = m and M_(j+1) = z M_j + m w^j give M_k = m sum_j z^j w^(k-1-j)
     mw = m.copy()
     for _ in range(k - 1):
@@ -353,11 +397,12 @@ def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int, scale: int = 0) -
     """(2 sin(nu h / 2) 2^scale)^(2k), one row per shift h and one column per frequency nu.
 
     Built in place; the sin form avoids the cancellation of 2 - 2 cos(nu h) at
-    small arguments.  The scale is applied after the sine, so it is exact.
+    small arguments.  The scale, an int or one per row, is applied after the sine, so it
+    is exact.
     """
     arg = np.multiply.outer(hs, 0.5 * freqs)
     np.sin(arg, out=arg)
-    if scale:
+    if scale.any() if isinstance(scale, np.ndarray) else scale:
         np.ldexp(arg, scale, out=arg)
     np.multiply(arg, arg, out=arg)
     arg *= 4.0
@@ -374,11 +419,9 @@ def _sin_form_terms(hs: np.ndarray, freqs: np.ndarray, k: int, scale: int = 0) -
 def _bucket_ratios(k: int, h_samples: int) -> np.ndarray:
     """Read-only rho^(2k) = (sin(lambda y_b) / sin(y_b))^(2k), one row per lambda =
     j / (h_samples - 1), j < h_samples - 1, and one column per bucket top y_b = _TWO_Y / 2.
-    An underflowed denominator gives an inf or NaN ratio, whose rows are kept."""
-    lam = np.arange(h_samples - 1) / (h_samples - 1)
-    # with 2 y_b in place of the frequencies, _sin_form_terms gives (2 sin(lambda y_b))^(2k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = _sin_form_terms(lam, _TWO_Y, k) / _sin_form_terms(1.0, _TWO_Y, k)
+    rho is taken before the power, so at any k a ratio underflows only where rho^(2k) does."""
+    lam, y = np.arange(h_samples - 1) / (h_samples - 1), 0.5 * _TWO_Y
+    ratios = (np.sin(np.multiply.outer(lam, y)) / np.sin(y)) ** (2 * k)
     ratios.setflags(write=False)
     return ratios
 
@@ -417,13 +460,12 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         return 0.0
     w = amps * amps
     if freqs[-1] * t <= math.pi and k < 512:
-        # at tiny t the terms would be subnormal and lose digits.  The float sine is
-        # the identity below 2^-26, so scaling the shift by 2^e, which takes
-        # nu_max t into [2^-28, 2^-27), scales every sine factor by exactly 2^e; the
-        # factors are then scaled by 2^27 after the sine, which puts the largest in
-        # [1/2, 1), and the sup is scaled back by 2^(-k (e + 27))
+        # at small t or high k the terms would be subnormal and lose digits.  The float sine
+        # is the identity below 2^-26, so scaling the shift by 2^e, which takes nu_max t into
+        # [2^-28, 2^-27), scales every sine factor by exactly 2^e; the factors are then scaled
+        # after the sine by _tiny_scale, and the sup is scaled back by 2^(-k (e + s))
         e = max(0, -27 - math.frexp(float(freqs[-1]) * t)[1])
-        s = 27 if e else 0
+        s = _tiny_scale(math.ldexp(float(freqs[-1]) * t, e), k)
         terms_t = _sin_form_terms(math.ldexp(t, e), freqs, k, s)
         return math.ldexp(math.sqrt(math.pi * float(terms_t @ w)), -k * (e + s))
     if k >= 512:  # 4^k overflows; rows per batch: at most 2**22 entries
@@ -437,29 +479,28 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
 
 def _p2_table(freqs: np.ndarray, amps: np.ndarray, k: int, ts: np.ndarray,
               h_samples: int) -> np.ndarray:
-    """modulus_p2_exact at each t of ts (k < 512, and max_freq t >= 2^-28 so that no term
+    """modulus_p2_exact at each t of ts (k < 512, and max_freq t >= 2^-28 so that no shift
     needs scaling), in blocks of t whose arrays hold at most _BLOCK_ENTRIES entries.
 
-    The h = t rows of a block are one sine matrix, each row summed by its own dot product
-    (a matrix-vector product's rounding depends on the other rows); where t max_freq <= pi
-    that row is the value.  Other rows h = lambda t are bounded from the h = t terms: for
-    nu t <= pi by rho^(2k), rho = sin(lambda y) / sin(y) at the top of nu's bucket in
-    y = nu t / 2 (it grows with y, as x cot x decreases on (0, pi)); above, by
-    2 |sin(x / 2)| <= min(|x|, 2), plus 4 N 2^-53 of the larger prefix sum for rounding.
-    Rows whose bound, times 1 + _BOUND_SLACK (which covers lambda = j / (h_samples - 1)
-    too), reaches g(t) go to _screen; those it keeps take their sines."""
-    w, f, n = amps * amps, freqs.astype(float), h_samples - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
-        head = np.concatenate(([0.0], np.cumsum(w * f ** (2 * k))))  # sum_{j < m} w_j f_j^(2k)
-    tail = np.cumsum(np.append(w, 0.0)[::-1])[::-1]  # sum_{j >= m} w_j
+    The h = t rows of a block are one sine matrix, each row scaled by _tiny_scale and
+    summed by its own dot product (a matrix-vector product's rounding depends on the other
+    rows); where t max_freq <= pi that row is the value.  Other rows h = lambda t are
+    bounded from the h = t terms: for nu t <= pi by rho^(2k), rho = sin(lambda y) / sin(y)
+    at the top of nu's bucket in y = nu t / 2 (it grows with y, as x cot x decreases on
+    (0, pi)); above, by _high_band.  Rows whose bound, times 1 + _BOUND_SLACK (which covers
+    lambda = j / (h_samples - 1) too), reaches g(t) go to _screen; those it keeps take
+    their sines."""
+    w, f = amps * amps, freqs.astype(float)
+    high = _high_band(f, w, 2 * k)  # an inf or NaN bound keeps its row
 
     def block(ts):
-        terms = _sin_form_terms(ts, freqs, k)
+        s = _tiny_scale(f[-1] * ts, k)  # 0 where t max_freq > pi
+        terms = _sin_form_terms(ts, freqs, k, s[:, None])
         top = np.array([row @ w for row in terms])
         pruned = f[-1] * ts > math.pi
         if not pruned.any():
-            return np.sqrt(math.pi * top)
-        grid = np.hstack((np.arange(n) * (ts / n)[:, None], ts[:, None]))  # shift_grid(ts[i])
+            return np.ldexp(np.sqrt(math.pi * top), -k * s)
+        grid = shift_grid(ts, h_samples)
         # low band: the first ends[:, b] nu have nu t <= 2 y_b (at most N - 1, since the high
         # band's bound holds for any nu); reduceat gives an empty bucket its first entry
         ends = np.minimum(np.searchsorted(f, _TWO_Y / ts[:, None], side="right"), f.size - 1)
@@ -467,19 +508,14 @@ def _p2_table(freqs: np.ndarray, amps: np.ndarray, k: int, ts: np.ndarray,
         sums = np.add.reduceat((terms * w).ravel(), starts.ravel()).reshape(starts.shape)[:, :-1]
         sums[np.diff(starts) == 0] = 0.0
         bound = sums @ _bucket_ratios(k, h_samples).T
-        # high band, for 0 < h < t: m is the first frequency at or above 2 / h and the band
-        low, h = ends[:, -1:], grid[:, 1:-1]
-        m = np.maximum(np.searchsorted(f, 2.0 / h), low)
-        with np.errstate(over="ignore", invalid="ignore"):
-            below = head[m] - head[low] + 4 * f.size * 2.0**-53 * head[m]
-            bound[:, 1:] += h ** (2 * k) * below + 4.0 ** k * tail[m]
+        bound[:, 1:] += high(grid[:, 1:-1], ends[:, -1:])  # the high band, for 0 < h < t
         cand = pruned[:, None] & ~(bound * (1.0 + _BOUND_SLACK) < top[:, None])
         if cand.any():
             _screen(freqs, w, k, ts, grid, cand, top)
         i, j = np.nonzero(cand)  # the rows left take their sines, _BLOCK_ENTRIES at a time
         np.maximum.at(top, i, _in_batches(lambda i, j: [row @ w for row in _sin_form_terms(
             grid[i, j], freqs, k)], max(1, _BLOCK_ENTRIES // f.size), i, j))
-        return np.sqrt(math.pi * top)
+        return np.ldexp(np.sqrt(math.pi * top), -k * s)
 
     return _in_batches(block, max(1, _BLOCK_ENTRIES // max(freqs.size, h_samples)), ts)
 

@@ -29,8 +29,8 @@ import numpy as np
 from .approximation import _head_sum, _tail_sum, best_approx, power_sum_tail
 from .core import DENSE_LIMIT, ClassParams, CosineSeries, FunctionalCurve, MajorantPhi
 from .errors import DomainError, TagError
-from .function_model import (_EXACT_BLOCK, DEFAULT_H_SAMPLES, ModulusRequest, _p2_table,
-                             auto_grid_size, modulus, modulus_p2_exact)
+from .function_model import (_EXACT_BLOCK, DEFAULT_H_SAMPLES, ModulusRequest, _grid_table,
+                             _p2_table, auto_grid_size, modulus, modulus_p2_exact)
 
 #: smallest truncation range used by the omega-based forms
 MIN_NU_MAX = 1024
@@ -52,9 +52,9 @@ class ModulusTable:
     """Cached evaluations of w(1/nu) for one (series, k, p) triple, NaN until evaluated.
 
     Uses the closed-form Parseval path at p = 2 and the quadrature grid path
-    otherwise; ``path`` records which one, for reproducibility.  At p = 2 and k < 512, a
-    support wider than _EXACT_BLOCK fills omega_upto's missing nu in blocks through
-    _p2_table, each value bit for bit modulus_p2_exact's.
+    otherwise; ``path`` records which one, for reproducibility.  omega_upto fills its
+    missing nu in blocks through _grid_table, or at p = 2, k < 512 and a support wider
+    than _EXACT_BLOCK through _p2_table, each value bit for bit omega_at's.
     """
 
     def __init__(self, series: CosineSeries, k: int, p: float,
@@ -64,10 +64,10 @@ class ModulusTable:
         self.p = float(p)
         self.h_samples = int(h_samples)
         self.path = "p2_exact" if p == 2.0 else "grid"
-        ModulusRequest(self.k, 1.0, self.p, self.h_samples)  # checks k, p and h_samples
+        self._request = ModulusRequest(self.k, 1.0, self.p, self.h_samples)  # checks k, p, shifts
         self._grid_n = auto_grid_size(series)
         self._omega = np.empty(0)
-        self._blocked = p == 2.0 and self.k < 512 and series.support()[0].size > _EXACT_BLOCK
+        self._blocked = p != 2.0 or (self.k < 512 and series.support()[0].size > _EXACT_BLOCK)
 
     def omega_at(self, nu: int) -> float:
         """w(1/nu) for a positive integer nu."""
@@ -92,8 +92,11 @@ class ModulusTable:
         if not self._blocked:
             return np.array([self.omega_at(nu) for nu in range(1, nu_max + 1)])
         missing = np.flatnonzero(np.isnan(self._omega[:nu_max]))
-        self._omega[missing] = _p2_table(*self.series.support(), self.k, 1.0 / (missing + 1),
-                                         self.h_samples)
+        if missing.size:
+            ts = 1.0 / (missing + 1)
+            self._omega[missing] = (_grid_table(self.series, self._request, ts, self._grid_n)
+                                    if self.path == "grid" else
+                                    _p2_table(*self.series.support(), self.k, ts, self.h_samples))
         return self._omega[:nu_max].copy()
 
 

@@ -13,6 +13,7 @@ from trigsmooth import (
     DomainError,
     GridFunction,
     ModulusRequest,
+    ModulusTable,
     difference,
     lp_norm,
     modulus,
@@ -827,3 +828,118 @@ class TestGridTinyStep:
         got = modulus(ser, ModulusRequest(k=k, t=t, p=3.0), 4096)
         want = oracles.modulus_grid_full_scan(ser.coeffs, k, t, 3.0, 257, 4096)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _rng11_support():
+    # the 80-frequency support of test_tiny_t_at_high_order_matches_mpmath
+    rng = np.random.default_rng(11)
+    freqs = np.arange(1, 81)
+    return freqs, rng.uniform(0.1, 1.0, freqs.size) * rng.choice([-1.0, 1.0], freqs.size)
+
+
+class TestHighOrderUnderflow:
+    """At moderate t and high k the moduli are normal floats while the powers
+    (2 sin(nu h / 2))^(2k) of their factors are not; both kernels then scale the factors
+    after the sine, as at tiny t."""
+
+    @pytest.mark.parametrize("k, t", [(100, 1.25e-4), (25, 2.0**-27 / 80)])
+    def test_p2_matches_mpmath(self, k, t):
+        # nu_max t = 0.01 and 2**-27: 0.01**200 and 2**-1350 underflow, and the kernel returned 0
+        freqs, amps = _rng11_support()
+        want = oracles.mp_modulus_p2(freqs, amps, k, t, 17)
+        assert want > 2.0**-1022
+        got = modulus_p2_exact(CosineSeries.from_support(freqs, amps, 80), k, t, 17)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_p2_table_scales_each_t_as_the_one_t_kernel(self):
+        # 100 frequencies fill the p = 2 table in blocks; from nu = 1000 on, nu_max t <= 0.1
+        rng = np.random.default_rng(3)
+        ser = CosineSeries.from_support(np.arange(1, 101), rng.uniform(0.1, 1.0, 100), 100)
+        got = ModulusTable(ser, 100, 2.0, h_samples=17).omega_upto(10_000)
+        nus = [1, 31, 1000, 10_000]
+        assert [got[nu - 1] for nu in nus] == [modulus_p2_exact(ser, 100, 1.0 / nu, 17) for nu in nus]
+        assert got[-1] > 2.0**-1022
+
+    @pytest.mark.parametrize("k, x", [(100, 0.01), (60, 0.001)])
+    def test_grid_bounds_cover_the_rows_and_are_homogeneous_of_degree_k(self, k, x):
+        # t = x / 256 on power:2:256: every row bound and neighbour bound was 0
+        ser = power_law_series(2.0, 256)
+        freqs, amps = ser.support()
+        slope = function_model._slope_bound(ser, 4096)
+
+        def bounds(t):
+            req = ModulusRequest(k=k, t=t, p=3.0)
+            hs = function_model.shift_grid(t, 257)
+            rows = function_model._row_bounds(hs, freqs, amps, req, 512, slope)
+            diffs = function_model._difference_bounds(hs[129:145], hs[128:144], freqs, amps, k,
+                                                      3.0, slope)
+            return rows, diffs, function_model._grid_norms(hs, freqs, amps, req, 4096)
+
+        rows, diffs, values = bounds(x / 256)
+        assert np.all(rows >= values[:-1])
+        # rows 0 to 16 lie below the float range, at k = 100
+        assert np.all(rows[values[:-1] > 0.0] > 0.0) and np.all(diffs > 0.0)
+        half = np.concatenate(bounds(x / 512)[:2])
+        normal = half >= 2.0**-1022
+        # 2 sin(y / 2) / y = 1 - y^2 / 24 + ..., y <= x, to the power 2k: within 1e-3
+        np.testing.assert_allclose(np.concatenate((rows, diffs))[normal],
+                                   np.ldexp(half[normal], k), rtol=1e-3, atol=0.0)
+        assert modulus(ser, ModulusRequest(k=k, t=x / 256, p=3.0), 4096) == pytest.approx(
+            oracles.modulus_grid_full_scan(ser.coeffs, k, x / 256, 3.0, 257, 4096),
+            rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _straddling_block(draw):
+    """A signed support of 2 to 300 frequencies and 1 to 4 step bounds t, each with pi / t
+    between its lowest and its highest frequency."""
+    coeffs = draw(_signed_support(2, 300))
+    freqs = np.flatnonzero(coeffs) + 1
+    us = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4)))
+    return coeffs, math.pi / (freqs[0] + us * (freqs[-1] - freqs[0]))
+
+
+class TestGridTable:
+    """The grid omega table fills its missing nu in blocks through _grid_table, whose
+    one-t call is modulus; the high band of its row bounds takes no sines until a row
+    reaches the value of its h = t row."""
+
+    @given(coeffs=_signed_support(1, 400), k=st.sampled_from([1, 2, 3]),
+           p=st.sampled_from([1.5, 3.0, 4.0]), h_samples=st.sampled_from([17, 257]),
+           extra=st.integers(1, 24))
+    @settings(max_examples=8, deadline=None)
+    def test_block_fill_is_modulus_bit_for_bit(self, coeffs, k, p, h_samples, extra):
+        # nu_max lies past max_freq / pi, where the high band empties, and past the first
+        # block edge (2**14 // max(N, h_samples) nu per block)
+        ser = CosineSeries(coeffs)
+        block, split = 2**14 // max(ser.support()[0].size, h_samples), int(ser.max_freq / math.pi)
+        nu_max = max(split, block) + extra
+        got = ModulusTable(ser, k, p, h_samples).omega_upto(nu_max)
+        # every 7th nu, and both sides of each edge, each by one modulus call
+        nus = sorted({*range(1, nu_max + 1, 7), block, block + 1, max(split, 1), split + 1, nu_max})
+        one = ModulusTable(ser, k, p, h_samples)
+        assert [got[nu - 1] for nu in nus] == [one.omega_at(nu) for nu in nus]
+
+    @given(case=_straddling_block(), k=st.sampled_from([1, 2, 3]),
+           p=st.sampled_from([1.5, 2.0, 3.0, 7.0]), h_samples=st.sampled_from([16, 17, 257]))
+    @settings(max_examples=60, deadline=None)
+    def test_sine_free_high_band_covers_the_hoelder_bound_of_each_row(self, case, k, p, h_samples):
+        coeffs, ts = case
+        freqs, amps = CosineSeries(coeffs).support()
+        req = ModulusRequest(k=k, t=float(ts[0]), p=p, h_samples=h_samples)
+        hs = function_model.shift_grid(ts, h_samples)
+        free = function_model._row_bounds(hs, freqs, amps, req, 5)
+        # a floor of 0 gives every row with a high band its sines there
+        exact = function_model._row_bounds(hs, freqs, amps, req, 5, floor=0.0)
+        for row, free_row, exact_row in zip(hs, free, exact):
+            want = function_model._holder_bounds(
+                function_model._sin_form_terms(row[:-1], freqs, k), amps, p)
+            assert np.all(free_row >= want * (1.0 - 1e-12))
+            assert np.all(exact_row >= want * (1.0 - 1e-12))
+            assert np.all(exact_row <= free_row * (1.0 + 1e-12))
+
+    def test_power_law_table_at_p3_evaluates_no_more_rows(self, irfft_rows):
+        # 1,291 grid rows, the h = t rows included, and one irfft for the slope bound:
+        # as many as one modulus call per nu evaluates
+        ModulusTable(power_law_series(2.0, 256), 1, 3.0).omega_upto(256)
+        assert sum(irfft_rows) <= 1292

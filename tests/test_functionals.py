@@ -532,6 +532,25 @@ class TestOmegaRangeLimit:
             series_form(power_law_series(2.0, 16), PARAMS, DENSE_LIMIT // 4 + 1)
 
 
+class TestGridTableRangeLimit:
+    def test_omega_upto_refuses_more_than_dense_limit_before_the_grid_table_kernel(
+            self, monkeypatch):
+        from trigsmooth import DomainError, functionals
+        from trigsmooth.core import DENSE_LIMIT
+
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(functionals, "_grid_table", kernel)
+        monkeypatch.setattr(functionals, "modulus", kernel)
+        table = ModulusTable(power_law_series(2.0, 16), 1, 3.0)
+        with pytest.raises(DomainError, match=f"exceeds the limit of {DENSE_LIMIT}"):
+            table.omega_upto(DENSE_LIMIT + 1)
+        # the patched name is the one the table fills through
+        with pytest.raises(AssertionError, match="a kernel ran"):
+            table.omega_upto(4)
+
+
 @st.composite
 def _wide_support(draw):
     """65 to 512 signed coefficients nu^(-s), s in [0, 1.5], on frequencies at most 3
