@@ -603,6 +603,8 @@ def main(argv=None) -> int:
     try:
         if args.command in NEEDS_CONFIG and not args.config:
             raise ConfigError(f"command {args.command!r} requires --config")
+        if args.seed < 0:  # numpy's seeding rejects it with a traceback
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg = load_config(args.config) if args.config else {}
         report = COMMANDS[args.command](cfg, args)
         emit(report, args.command, args.out, args.format, args.quiet)

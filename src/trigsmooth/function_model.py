@@ -488,7 +488,8 @@ def _p2_table(freqs: np.ndarray, amps: np.ndarray, k: int, ts: np.ndarray,
     bounded from the h = t terms: for nu t <= pi by rho^(2k), rho = sin(lambda y) / sin(y)
     at the top of nu's bucket in y = nu t / 2 (it grows with y, as x cot x decreases on
     (0, pi)); above, by _high_band.  Rows whose bound, times 1 + _BOUND_SLACK (which covers
-    lambda = j / (h_samples - 1) too), reaches g(t) go to _screen; those it keeps take
+    lambda = j / (h_samples - 1) too), reaches g(t) are candidates; _taylor_band bounds
+    their high band again about h = t, and those left go to _screen; those it keeps take
     their sines."""
     w, f = amps * amps, freqs.astype(float)
     high = _high_band(f, w, 2 * k)  # an inf or NaN bound keeps its row
@@ -500,16 +501,18 @@ def _p2_table(freqs: np.ndarray, amps: np.ndarray, k: int, ts: np.ndarray,
         pruned = f[-1] * ts > math.pi
         if not pruned.any():
             return np.ldexp(np.sqrt(math.pi * top), -k * s)
-        grid = shift_grid(ts, h_samples)
+        grid, tw = shift_grid(ts, h_samples), terms * w
         # low band: the first ends[:, b] nu have nu t <= 2 y_b (at most N - 1, since the high
         # band's bound holds for any nu); reduceat gives an empty bucket its first entry
         ends = np.minimum(np.searchsorted(f, _TWO_Y / ts[:, None], side="right"), f.size - 1)
         starts = np.hstack((0 * ends[:, :1], ends)) + f.size * np.arange(ts.size)[:, None]
-        sums = np.add.reduceat((terms * w).ravel(), starts.ravel()).reshape(starts.shape)[:, :-1]
+        sums = np.add.reduceat(tw.ravel(), starts.ravel()).reshape(starts.shape)[:, :-1]
         sums[np.diff(starts) == 0] = 0.0
-        bound = sums @ _bucket_ratios(k, h_samples).T
-        bound[:, 1:] += high(grid[:, 1:-1], ends[:, -1:])  # the high band, for 0 < h < t
+        low = sums @ _bucket_ratios(k, h_samples).T
+        bound = np.hstack((low[:, :1], low[:, 1:] + high(grid[:, 1:-1], ends[:, -1:])))  # 0 < h < t
         cand = pruned[:, None] & ~(bound * (1.0 + _BOUND_SLACK) < top[:, None])
+        if cand.any():
+            _taylor_band(f, w, k, ts, grid, cand, top, low, tw, ends[:, -1])
         if cand.any():
             _screen(freqs, w, k, ts, grid, cand, top)
         i, j = np.nonzero(cand)  # the rows left take their sines, _BLOCK_ENTRIES at a time
@@ -518,6 +521,41 @@ def _p2_table(freqs: np.ndarray, amps: np.ndarray, k: int, ts: np.ndarray,
         return np.ldexp(np.sqrt(math.pi * top), -k * s)
 
     return _in_batches(block, max(1, _BLOCK_ENTRIES // max(freqs.size, h_samples)), ts)
+
+
+def _taylor_band(f: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
+                 cand: np.ndarray, top: np.ndarray, low: np.ndarray, tw: np.ndarray,
+                 start: np.ndarray) -> None:
+    """Clear each candidate cand[i, j], h = grid[i, j] >= t / 2 (so delta = t - h is exact), whose
+    low[i, j] plus a bound on its high band (nu from start[i]), times 1 + _BOUND_SLACK, is below
+    top[i].  psi(x) = (2 sin x)^(2k) has |psi''| <= 2k 4^k, and the float half angles of h and t
+    differ by delta nu / 2 within 2^-53 t nu.  So with G, G' and |G'| the band's sums below a split
+    m (nu t <= 2^i pi) of tw = a^2 psi and of p = a^2 2k nu (2 sin x)^(2k-1) cos x at h = t, the
+    band is at most G - delta G' + 2^-52 t |G'| + 4^k sum_{nu >= m} a^2 + k 4^k (d^2 / 4 + eps (5
+    + 4k d)) sum a^2 nu^2, d = delta + 2^-52 t: sines and cosines within eps = 2^-48 move tw, the
+    row's own terms and p by 3k, 2k and 2k 4^k eps (times a^2 and a^2 2k nu).  Each sum adds
+    4 (N + k + 1) 2^-53 of its magnitude (|p| term by term) for its rounding."""
+    i, j = np.nonzero(cand & (2.0 * grid[:, :-1] >= ts[:, None]))
+    rows, r = np.unique(i, return_inverse=True)
+    c0 = start.min()  # the columns from the block's lowest band start
+    f, w, lo = f[c0:], w[c0:], start[rows, None] - c0
+    octaves = np.ldexp(math.pi, np.arange(1, math.frexp(f[-1] * ts.max() / math.pi)[1] + 1))
+    m = np.minimum(np.searchsorted(f, octaves / ts[rows, None], side="right"), f.size - 1)
+    x = np.multiply.outer(ts[rows], 0.5 * f)  # the h = t rows' own angles
+    edges = np.hstack((lo, m))  # the band's segments [lo, m_1), [m_1, m_2), ... per row
+    starts, empty = (edges + f.size * np.arange(rows.size)[:, None]).ravel(), np.diff(edges) == 0
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
+        b = 2.0 * np.sin(x)  # (2 sin x)^(2k - 1) = b (b b)^(k - 1) below
+        p = ((2 * k) * w * f) * np.cos(x) * reduce(np.multiply, [b * b] * (k - 1), b)
+        g, gp, ga = (np.cumsum(np.where(empty, 0.0, np.add.reduceat(y.ravel(), starts).reshape(
+            edges.shape)[:, :-1]), axis=1)[r] for y in (tw[rows, c0:], p, np.abs(p)))
+        s2, tail = np.cumsum(np.append(0.0, w * f**2)), np.cumsum(np.append(w, 0.0)[::-1])[::-1]
+        t, m, lo, c4, gamma = ts[i, None], m[r], lo[r], 4.0**k, 4 * (f.size + k + 1) * 2.0**-53
+        d = (delta := t - grid[i, j, None]) + 2.0**-52 * t
+        q, over = c4 * k * (d * d / 4 + 2.0**-48 * (5 + 4 * k * d)), c4 * tail[m]
+        bound = np.fmin.reduce(g - delta * gp + q * (s2[m] - s2[lo]) + over + (2.0**-51 * t
+                               + gamma * delta) * ga + gamma * (g + q * s2[m] + over), axis=1)
+        cand[i, j] = ~((low[i, j] + bound) * (1.0 + _BOUND_SLACK) < top[i])
 
 
 def _screen(freqs: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,

@@ -140,6 +140,17 @@ class TestConfigParsing:
         assert main(["ineq-sweep", "--config", cfg]) == 2
         assert "ineq.families entries must be one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["modulus", "best-approx", "equivalence", "example",
+                                         "ineq-sweep", "phi-check"])
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys, command):
+        # ineq-sweep, and the others on a random_bandlimited: series, ended in a numpy
+        # traceback from seeding the generator
+        cfg = write_cfg(tmp_path, BASE_CFG.replace("power:2:256", "random_bandlimited:64")
+                        .replace("monotone", "general"))
+        assert main([command, "--config", cfg, "--seed", "-1", "--quiet"]) == 2
+        assert "config error: --seed must be a non-negative integer, got -1" in \
+            capsys.readouterr().err
+
     def test_step_bound_out_of_range_names_the_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_CFG.replace("sweep.t_values = 0.5,1.0",
                                                    "sweep.t_values = 0.5,nan"))

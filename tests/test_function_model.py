@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from trigsmooth import (
@@ -437,6 +437,72 @@ class TestModulusP2Pruned:
         assert got == pytest.approx(math.sqrt(math.pi * 4 * 2**15), rel=1e-12)
         # one batch of 2**22 entries (32 MiB)
         assert peak < 48 * 2**20
+
+
+_NARROW_OR_WIDE = st.one_of(_signed_support(1, 64), _signed_support(65, 300))
+
+
+class TestModulusP2BitExact:
+    """Dilation and powers of two act on modulus_p2_exact without rounding, on the exact
+    block and on the table kernel alike."""
+
+    @given(coeffs=_NARROW_OR_WIDE, k=st.sampled_from([1, 2, 3]),
+           t=st.floats(0.0, math.pi / 2, exclude_min=True), h_samples=st.sampled_from([17, 257]))
+    @settings(max_examples=25, deadline=None)
+    def test_dilation(self, coeffs, k, t, h_samples):
+        # f(2 x) has a_nu at 2 nu: its rows at h are f's rows at 2 h, and the shift grids
+        # and half angles scale by 2 exactly
+        ser = CosineSeries(coeffs)
+        freqs, amps = ser.support()
+        dilated = CosineSeries.from_support(2 * freqs, amps, 2 * ser.max_freq)
+        want = modulus_p2_exact(ser, k, 2 * t, h_samples)
+        assert modulus_p2_exact(dilated, k, t, h_samples) == want
+
+    @given(coeffs=_NARROW_OR_WIDE, m=st.integers(-100, 100), k=st.sampled_from([1, 2, 3]),
+           t=st.floats(0.0, math.pi, exclude_min=True), h_samples=st.sampled_from([17, 257]))
+    @settings(max_examples=25, deadline=None)
+    def test_homogeneity(self, coeffs, m, k, t, h_samples):
+        want = math.ldexp(modulus_p2_exact(CosineSeries(coeffs), k, t, h_samples), m)
+        assume(want >= 2.0**-1000)  # below, the scaled value itself loses digits
+        assert modulus_p2_exact(CosineSeries(np.ldexp(coeffs, m)), k, t, h_samples) == want
+
+
+@st.composite
+def _wide_p2_support(draw):
+    """65 to 700 signed frequencies at most 3 apart, slowly decaying (nu^(-s), s in [0.25, 1]),
+    flat, or in two clusters a decade apart, from a seeded generator."""
+    size, kind = draw(st.integers(65, 700)), draw(st.sampled_from(["decaying", "flat", "two"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nus = np.cumsum(rng.integers(1, 4, size))
+    if kind == "two":
+        nus[size // 2:] += 9 * nus[size // 2 - 1]
+    amps = rng.choice([-1.0, 1.0], size) * (nus ** -draw(st.floats(0.25, 1.0)) if kind == "decaying"
+                                            else 1.0)
+    return CosineSeries.from_support(nus, amps, int(nus[-1]))
+
+
+class TestTaylorBand:
+    """The Taylor bound of the high band about h = t only clears candidate rows of the p = 2
+    table, and on the benchmark tables it clears all of them before the rotation screen."""
+
+    @given(ser=_wide_p2_support(), k=st.sampled_from([1, 2, 3]),
+           h_samples=st.sampled_from([17, 33, 257]), extra=st.integers(1, 64))
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_table_is_the_table_without_the_stage(self, monkeypatch, ser, k, h_samples, extra):
+        # nu_max lies past max_freq / pi, where the rows stop being pruned
+        nu_max = int(ser.max_freq / math.pi) + extra
+        got = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
+        with monkeypatch.context() as patch:
+            patch.setattr(function_model, "_taylor_band", lambda *args: None)
+            want = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("s, size, k", [(1.5, 2048, 3), (2.0, 4096, 1), (2.0, 4096, 3)])
+    def test_no_row_reaches_the_screen_on_the_benchmark_tables(self, screened, s, size, k):
+        # the bucket and high-band bounds leave 10,469, 1 and 6,174 candidate rows here
+        ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
+        assert screened == []
 
 
 class TestModulusP2Monotone:
