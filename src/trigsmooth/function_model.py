@@ -534,7 +534,7 @@ def _taylor_band(f: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.
     band is at most G - delta G' + 2^-52 t |G'| + 4^k sum_{nu >= m} a^2 + k 4^k (d^2 / 4 + eps (5
     + 4k d)) sum a^2 nu^2, d = delta + 2^-52 t: sines and cosines within eps = 2^-48 move tw, the
     row's own terms and p by 3k, 2k and 2k 4^k eps (times a^2 and a^2 2k nu).  Each sum adds
-    4 (N + k + 1) 2^-53 of its magnitude (|p| term by term) for its rounding."""
+    4 (F + k + 1) 2^-53 of its magnitude (|p| term by term), F its columns, for its rounding."""
     i, j = np.nonzero(cand & (2.0 * grid[:, :-1] >= ts[:, None]))
     rows, r = np.unique(i, return_inverse=True)
     c0 = start.min()  # the columns from the block's lowest band start
