@@ -29,6 +29,9 @@ DEFAULT_H_SAMPLES = 257
 _EXACT_BLOCK = 64
 #: entries in each block array of the table kernels _p2_table and _grid_table
 _BLOCK_ENTRIES = 2**14
+#: samples in each row batch of the grid kernel (rows times n) and of modulus_p2_exact's
+#: high-order scan (rows times frequencies): a working set that stays in cache
+_BATCH_SAMPLES = 2**17
 #: buckets of equal width in nu t / 2 over (0, pi / 2] in the low band of the
 #: modulus_p2_exact row bound
 _RATIO_BUCKETS = 16
@@ -155,7 +158,8 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
 def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: int) -> np.ndarray:
     """modulus(series, req, n) at each t > 0 of ts in place of req.t, bit for bit, in
     blocks of t whose bound arrays hold at most _BLOCK_ENTRIES entries; each stage below is
-    one batched call for a block, and grid rows go 2**20 // n a batch (8 MiB of spectrum).
+    one batched call for a block, and grid rows go max(1, _BATCH_SAMPLES // n) a batch (1 MiB
+    of spectrum and 1 MiB of samples up to n = 2^17) through one spectrum buffer per call.
 
     The row h = t is evaluated on the grid first, and every other row g = Delta_h^k f is
     bounded from its coefficients (_row_bounds); the candidates are the rows whose bound,
@@ -174,10 +178,11 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
     scale = -math.frexp(float(np.abs(amps).max()))[1]
     amps = np.ldexp(amps, scale := scale if abs(scale) > 256 else 0)
     slope = math.ldexp(_slope_bound(series, n), scale) if req.p > 2.0 else math.inf
-    last, h_chunk = req.h_samples - 1, max(1, 2**20 // n)
+    last, h_chunk = req.h_samples - 1, max(1, min(_BATCH_SAMPLES // n, ts.size * req.h_samples))
+    spec = np.zeros((h_chunk, n // 2 + 1), dtype=complex)
 
     def norms(hs):
-        return _in_batches(lambda h: _grid_norms(h, freqs, amps, req, n), h_chunk, hs)
+        return _in_batches(lambda h: _grid_norms(h, freqs, amps, req, n, spec), h_chunk, hs)
 
     def block(ts):
         hs = shift_grid(ts, req.h_samples)
@@ -286,8 +291,9 @@ def _high_band(f: np.ndarray, c: np.ndarray, j: int):
 
 
 def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
-                req: ModulusRequest, n: int) -> np.ndarray:
-    """Rectangle-rule L_p norm of Delta_h^k f on the n-point grid, one per shift in hs.
+                req: ModulusRequest, n: int, spec: np.ndarray) -> np.ndarray:
+    """Rectangle-rule L_p norm of Delta_h^k f on the n-point grid, one per shift in hs,
+    through spec, rows of n // 2 + 1 entries, zero but in the support columns it overwrites.
 
     Samples are below 2^u, u = log2(sum |a_nu|) + k e, min(2, nu_max h) < 2^e.  Rows with
     p u outside [-700, 900] are scaled by powers of two (the multipliers e^(i nu h) - 1
@@ -300,21 +306,20 @@ def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
     if far.size:  # ldexp on the float view is exact
         zs = -np.frexp(np.abs(mult[far]).max(axis=1))[1]
         mult.view(float)[far] = np.ldexp(mult.view(float)[far], zs[:, None])
-    mult **= req.k  # ** 2 squares, which np.power does not
-    spec = np.zeros((hs.size, n // 2 + 1), dtype=complex)
+    # out of place, and np.square at k = 2: in place, or as ** 2, a one-entry array rounds
+    # otherwise, so a row's bits would depend on its batch
+    mult = np.square(mult) if req.k == 2 else mult ** req.k
+    spec = spec[:hs.size]
     spec[:, freqs] = mult * (0.5 * n * amps)
     diffs = np.fft.irfft(spec, n=n, axis=-1)
     if far.size:
         xs = -np.frexp(np.abs(diffs[far]).max(axis=1))[1]
         diffs[far] = np.ldexp(diffs[far], xs[:, None])
-    if req.p == 2.0:
-        sums = np.einsum("ij,ij->i", diffs, diffs)
-    else:
-        # in place: the same values as np.abs(diffs) ** p without two fresh buffers
-        np.abs(diffs, out=diffs)
-        np.power(diffs, req.p, out=diffs)
-        sums = np.sum(diffs, axis=-1)
-    out = (TWO_PI / n * sums) ** (1.0 / req.p)
+    # in place: the same values as np.abs(diffs) ** p without two fresh buffers; np.sum
+    # rounds each row alike in any batch (np.einsum does not, a lone row past 8192 samples)
+    np.abs(diffs, out=diffs)
+    np.power(diffs, req.p, out=diffs)
+    out = (TWO_PI / n * np.sum(diffs, axis=-1)) ** (1.0 / req.p)
     if far.size:
         with np.errstate(over="ignore"):  # past the float range: inf
             out[far] = np.ldexp(out[far], -(req.k * zs + xs))
@@ -468,9 +473,10 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         s = _tiny_scale(math.ldexp(float(freqs[-1]) * t, e), k)
         terms_t = _sin_form_terms(math.ldexp(t, e), freqs, k, s)
         return math.ldexp(math.sqrt(math.pi * float(terms_t @ w)), -k * (e + s))
-    if k >= 512:  # 4^k overflows; rows per batch: at most 2**22 entries
-        return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k),
-                                 max(1, 2**22 // freqs.size), shift_grid(t, h_samples)).max())
+    if k >= 512:  # 4^k overflows
+        rows = max(1, _BATCH_SAMPLES // freqs.size)
+        return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k), rows,
+                                 shift_grid(t, h_samples)).max())
     if freqs.size <= _EXACT_BLOCK:
         return math.sqrt(math.pi * float((_sin_form_terms(shift_grid(t, h_samples), freqs, k)
                                           @ w).max()))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximation import _head_sum, _tail_sum, best_approx, power_sum_tail
-from .core import DENSE_LIMIT, ClassParams, CosineSeries, FunctionalCurve, MajorantPhi
+from .core import DENSE_LIMIT, ClassParams, CosineSeries, FunctionalCurve, MajorantPhi, is_order
 from .errors import DomainError, TagError
 from .function_model import (_EXACT_BLOCK, DEFAULT_H_SAMPLES, ModulusRequest, _grid_table,
                              _p2_table, auto_grid_size, modulus, modulus_p2_exact)
@@ -70,7 +70,9 @@ class ModulusTable:
         self._blocked = p != 2.0 or (self.k < 512 and series.support()[0].size > _EXACT_BLOCK)
 
     def omega_at(self, nu: int) -> float:
-        """w(1/nu) for a positive integer nu."""
+        """w(1/nu) for a positive integer nu; DomainError for any other nu."""
+        if not is_order(nu):
+            raise DomainError(f"omega_at needs a positive integer nu, got {nu!r}")
         if nu > self._omega.size:  # NaN until evaluated
             self._omega = np.pad(self._omega, (0, nu - self._omega.size), constant_values=np.nan)
         val = self._omega.item(nu - 1)

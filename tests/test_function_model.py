@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from trigsmooth import (
@@ -371,6 +371,21 @@ class TestModulusP2Pruned:
             warnings.simplefilter("error")
             got = modulus_p2_exact(ser, 600, 0.5, 17)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_order_past_511_scans_in_cache_sized_batches(self, monkeypatch):
+        # all 257 rows of 4096 frequencies in one batch peaked at 24 MiB
+        ser = power_law_series(2.0, 4096)
+        ser.support()
+        tracemalloc.start()
+        try:
+            got = modulus_p2_exact(ser, 600, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        # each row's sum is its own, so one row a batch gives the same bits
+        monkeypatch.setattr(function_model, "_BATCH_SAMPLES", 1)
+        assert modulus_p2_exact(ser, 600, 0.5) == got
 
     @pytest.mark.parametrize("coeffs, k, t", [
         ([1.0], 512, 0.9),  # sqrt(pi) (2 sin 0.45)^512, about 1.8e-31: one row
@@ -939,7 +954,8 @@ class TestHighOrderUnderflow:
             rows = function_model._row_bounds(hs, freqs, amps, req, 512, slope)
             diffs = function_model._difference_bounds(hs[129:145], hs[128:144], freqs, amps, k,
                                                       3.0, slope)
-            return rows, diffs, function_model._grid_norms(hs, freqs, amps, req, 4096)
+            spec = np.zeros((hs.size, 4096 // 2 + 1), dtype=complex)
+            return rows, diffs, function_model._grid_norms(hs, freqs, amps, req, 4096, spec)
 
         rows, diffs, values = bounds(x / 256)
         assert np.all(rows >= values[:-1])
@@ -974,6 +990,9 @@ class TestGridTable:
            p=st.sampled_from([1.5, 3.0, 4.0]), h_samples=st.sampled_from([17, 257]),
            extra=st.integers(1, 24))
     @settings(max_examples=8, deadline=None)
+    # one frequency at k = 2: the one-t call's one-entry multiplier array took np.power's
+    # rounding, and the table's np.square's, at nu = 1
+    @example(coeffs=np.array([0.33203125]), k=2, p=4.0, h_samples=17, extra=1)
     def test_block_fill_is_modulus_bit_for_bit(self, coeffs, k, p, h_samples, extra):
         # nu_max lies past max_freq / pi, where the high band empties, and past the first
         # block edge (2**14 // max(N, h_samples) nu per block)
@@ -1009,3 +1028,42 @@ class TestGridTable:
         # as many as one modulus call per nu evaluates
         ModulusTable(power_law_series(2.0, 256), 1, 3.0).omega_upto(256)
         assert sum(irfft_rows) <= 1292
+
+    def test_power_law_table_at_p3_peak_memory(self):
+        # batches of 2**20 // n rows, each with a fresh spectrum, peaked at 9.6 MiB
+        ser = power_law_series(2.0, 256)
+        ser.support()
+        tracemalloc.start()
+        try:
+            ModulusTable(ser, 1, 3.0).omega_upto(256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.8 * 2**20
+
+    @given(coeffs=_signed_support(1, 300), k=st.sampled_from([1, 2, 3]),
+           p=st.sampled_from([1.5, 2.0, 3.0, 4.0]), h_samples=st.sampled_from([17, 257]),
+           nu_max=st.integers(1, 48))
+    @settings(max_examples=12, deadline=None)
+    def test_one_row_batches_give_the_same_table(self, coeffs, k, p, h_samples, nu_max):
+        # each row's irfft, |x|^p and sum are its own, whatever else shares its batch
+        ser = CosineSeries(coeffs)
+        want = ModulusTable(ser, k, p, h_samples).omega_upto(nu_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(function_model, "_BATCH_SAMPLES", 1)
+            got = ModulusTable(ser, k, p, h_samples).omega_upto(nu_max)
+        assert got.tolist() == want.tolist()
+
+    @given(coeffs=_signed_support(1, 120), k=st.sampled_from([1, 2, 3]),
+           t=st.floats(0.0, math.pi, exclude_min=True), p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+           log_n=st.integers(3, 16))
+    @settings(max_examples=12, deadline=None)
+    # np.einsum, which summed the rows at p = 2, rounds a lone row past 8192 samples otherwise
+    @example(coeffs=np.ones(6), k=1, t=1.0, p=2.0, log_n=14)
+    def test_one_row_batches_give_the_same_modulus(self, coeffs, k, t, p, log_n):
+        ser = CosineSeries(coeffs)
+        n, req = max(auto_grid_size(ser, 8), 2**log_n), ModulusRequest(k=k, t=t, p=p)
+        want = modulus(ser, req, n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(function_model, "_BATCH_SAMPLES", 1)
+            assert modulus(ser, req, n) == want

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from trigsmooth import (
     CosineSeries,
+    DomainError,
     MajorantPhi,
     ModulusTable,
     PowerLawTail,
@@ -530,6 +531,21 @@ class TestOmegaRangeLimit:
             table.omega_upto(DENSE_LIMIT + 1)
         with pytest.raises(DomainError, match="exceeds the limit"):
             series_form(power_law_series(2.0, 16), PARAMS, DENSE_LIMIT // 4 + 1)
+
+
+class TestOmegaAtDomain:
+    # omega_at read its cache at nu - 1 unchecked: after omega_upto(8), nu = 0 gave
+    # omega(1/8) and nu = -2 omega(1/6), and a fresh table raised a bare IndexError at 0
+    @pytest.mark.parametrize("nu", [0, -2])
+    def test_filled_table_refuses_nu_below_1(self, nu):
+        table = ModulusTable(power_law_series(2.0, 256), 1, 3.0)
+        table.omega_upto(8)
+        with pytest.raises(DomainError, match=f"positive integer nu, got {nu}$"):
+            table.omega_at(nu)
+
+    def test_fresh_table_refuses_nu_0(self):
+        with pytest.raises(DomainError, match="positive integer nu, got 0$"):
+            ModulusTable(power_law_series(2.0, 256), 1, 3.0).omega_at(0)
 
 
 class TestGridTableRangeLimit:
