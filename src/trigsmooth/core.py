@@ -47,9 +47,9 @@ class PowerLawTail:
         return self.c * np.asarray(nus, dtype=float) ** (-self.s)
 
 
-def is_order(k) -> bool:
-    """Whether k is a difference order: a positive integer, and not a bool (an int subclass)."""
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
+def is_order(k, least: int = 1) -> bool:
+    """Whether k is an integer >= least (1: a difference order) and not a bool (an int subclass)."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= least
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -452,7 +452,7 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     it, when t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on [0, t],
     so g peaks at h = t and that row alone is evaluated.  Otherwise supports of at most
     _EXACT_BLOCK frequencies are scanned in full, and wider ones are the one-t call of
-    the table kernel _p2_table, which certifies the sup by bounds and a rotation screen.
+    the table kernel _p2_table, which certifies the sup by row bounds.
     """
     try:
         ModulusRequest(k, t, 2.0, h_samples)
@@ -495,8 +495,7 @@ def _p2_table(freqs: np.ndarray, amps: np.ndarray, k: int, ts: np.ndarray,
     at the top of nu's bucket in y = nu t / 2 (it grows with y, as x cot x decreases on
     (0, pi)); above, by _high_band.  Rows whose bound, times 1 + _BOUND_SLACK (which covers
     lambda = j / (h_samples - 1) too), reaches g(t) are candidates; _taylor_band bounds
-    their high band again about h = t, and those left go to _screen; those it keeps take
-    their sines."""
+    their high band again about h = t, and those left take their sines."""
     w, f = amps * amps, freqs.astype(float)
     high = _high_band(f, w, 2 * k)  # an inf or NaN bound keeps its row
 
@@ -508,19 +507,13 @@ def _p2_table(freqs: np.ndarray, amps: np.ndarray, k: int, ts: np.ndarray,
         if not pruned.any():
             return np.ldexp(np.sqrt(math.pi * top), -k * s)
         grid, tw = shift_grid(ts, h_samples), terms * w
-        # low band: the first ends[:, b] nu have nu t <= 2 y_b (at most N - 1, since the high
-        # band's bound holds for any nu); reduceat gives an empty bucket its first entry
+        # low band: nu t <= 2 y_b for the first ends[:, b] nu, at most N - 1 (_high_band bounds any)
         ends = np.minimum(np.searchsorted(f, _TWO_Y / ts[:, None], side="right"), f.size - 1)
-        starts = np.hstack((0 * ends[:, :1], ends)) + f.size * np.arange(ts.size)[:, None]
-        sums = np.add.reduceat(tw.ravel(), starts.ravel()).reshape(starts.shape)[:, :-1]
-        sums[np.diff(starts) == 0] = 0.0
-        low = sums @ _bucket_ratios(k, h_samples).T
+        low = _segment_sums(tw, np.hstack((0 * ends[:, :1], ends))) @ _bucket_ratios(k, h_samples).T
         bound = np.hstack((low[:, :1], low[:, 1:] + high(grid[:, 1:-1], ends[:, -1:])))  # 0 < h < t
         cand = pruned[:, None] & ~(bound * (1.0 + _BOUND_SLACK) < top[:, None])
         if cand.any():
             _taylor_band(f, w, k, ts, grid, cand, top, low, tw, ends[:, -1])
-        if cand.any():
-            _screen(freqs, w, k, ts, grid, cand, top)
         i, j = np.nonzero(cand)  # the rows left take their sines, _BLOCK_ENTRIES at a time
         np.maximum.at(top, i, _in_batches(lambda i, j: [row @ w for row in _sin_form_terms(
             grid[i, j], freqs, k)], max(1, _BLOCK_ENTRIES // f.size), i, j))
@@ -549,12 +542,11 @@ def _taylor_band(f: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.
     m = np.minimum(np.searchsorted(f, octaves / ts[rows, None], side="right"), f.size - 1)
     x = np.multiply.outer(ts[rows], 0.5 * f)  # the h = t rows' own angles
     edges = np.hstack((lo, m))  # the band's segments [lo, m_1), [m_1, m_2), ... per row
-    starts, empty = (edges + f.size * np.arange(rows.size)[:, None]).ravel(), np.diff(edges) == 0
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
         b = 2.0 * np.sin(x)  # (2 sin x)^(2k - 1) = b (b b)^(k - 1) below
         p = ((2 * k) * w * f) * np.cos(x) * reduce(np.multiply, [b * b] * (k - 1), b)
-        g, gp, ga = (np.cumsum(np.where(empty, 0.0, np.add.reduceat(y.ravel(), starts).reshape(
-            edges.shape)[:, :-1]), axis=1)[r] for y in (tw[rows, c0:], p, np.abs(p)))
+        g, gp, ga = (np.cumsum(_segment_sums(y, edges), axis=1)[r]
+                     for y in (tw[rows, c0:], p, np.abs(p)))
         s2, tail = np.cumsum(np.append(0.0, w * f**2)), np.cumsum(np.append(w, 0.0)[::-1])[::-1]
         t, m, lo, c4, gamma = ts[i, None], m[r], lo[r], 4.0**k, 4 * (f.size + k + 1) * 2.0**-53
         d = (delta := t - grid[i, j, None]) + 2.0**-52 * t
@@ -564,25 +556,10 @@ def _taylor_band(f: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.
         cand[i, j] = ~((low[i, j] + bound) * (1.0 + _BOUND_SLACK) < top[i])
 
 
-def _screen(freqs: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
-            cand: np.ndarray, top: np.ndarray) -> None:
-    """Clear each candidate row cand[i, j] of grid[i] = shift_grid(ts[i]) whose g(h) is
-    provably below top[i].  z = e^(i nu h / 2) steps down from h = t by e^(-i nu step / 2),
-    both from e^(i 64 q x) e^(i b x) (nu = 64 q + b), one sine and cosine per q and b.
-    With those within 2^-48, Im z is within E = 2^-45 (2 (h_samples - 1) + nu_max t) of the
-    row's own sine, so 4^k sum a_nu^2 (Im z^2 + E (2 + 3 E))^k bounds the row, up to
-    4 (N + k + 1) 2^-53 for the rounding of either sum."""
-    rows, n = np.flatnonzero(cand.any(axis=1)), grid.shape[1] - 1
-    q, at = np.unique(freqs // 64, return_inverse=True)
 
-    def cis(x):  # e^(i nu x), one row per entry of the column x
-        return (np.take(np.exp(64j * x * q), at, axis=1)
-                * np.take(np.exp(1j * x * np.arange(64)), freqs % 64, axis=1))
-
-    z, rot = cis(0.5 * n * grid[rows, 1:2]), cis(-0.5 * grid[rows, 1:2])
-    err = 2.0**-45 * (2 * n + freqs[-1] * ts[rows, None])
-    slack = 4.0 ** k * (1.0 + _BOUND_SLACK + 4 * (freqs.size + k + 1) * 2.0**-53)
-    for d in range(1, n - cand[rows].argmax(axis=1).min() + 1):
-        z *= rot
-        sq = np.square(z.imag) + err * (2.0 + 3.0 * err)
-        cand[rows, n - d] &= ~(reduce(np.multiply, [sq] * k) @ w * slack < top[rows])
+def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Sums of each row i of x over [edges[i, b], edges[i, b + 1]), each edge below x.shape[1]."""
+    starts = edges + x.shape[1] * np.arange(x.shape[0])[:, None]
+    sums = np.add.reduceat(x.ravel(), starts.ravel()).reshape(edges.shape)[:, :-1]
+    sums[np.diff(edges) == 0] = 0.0  # reduceat gives an empty segment its first entry
+    return sums

@@ -86,7 +86,9 @@ class ModulusTable:
         return val
 
     def omega_upto(self, nu_max: int) -> np.ndarray:
-        """Array of w(1/nu) for nu = 1..nu_max; DomainError above DENSE_LIMIT entries."""
+        """w(1/nu) for nu = 1..nu_max; DomainError unless nu_max is an int in [0, DENSE_LIMIT]."""
+        if not is_order(nu_max, 0):
+            raise DomainError(f"omega_upto needs an integer nu_max >= 0, got {nu_max!r}")
         if nu_max > DENSE_LIMIT:
             raise DomainError(f"omega range {nu_max} exceeds the limit of {DENSE_LIMIT} entries")
         if nu_max > self._omega.size:

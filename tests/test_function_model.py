@@ -259,21 +259,6 @@ def _slowly_decaying_support(draw, min_size, max_size):
 
 
 @pytest.fixture
-def screened(monkeypatch):
-    """(candidate rows in, candidate rows left) of each _screen call made while the test runs."""
-    calls = []
-    real = function_model._screen
-
-    def counting(freqs, w, k, ts, grid, cand, top):
-        before = int(cand.sum())
-        real(freqs, w, k, ts, grid, cand, top)
-        calls.append((before, int(cand.sum())))
-
-    monkeypatch.setattr(function_model, "_screen", counting)
-    return calls
-
-
-@pytest.fixture
 def sin_form_calls(monkeypatch):
     """(rows, columns) of each _sin_form_terms call made while the test runs."""
     calls = []
@@ -412,7 +397,7 @@ class TestModulusP2Pruned:
         assert full_rows / 1024 < 15
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_rows_tying_the_last_row_are_evaluated(self, sin_form_calls, screened, seed):
+    def test_rows_tying_the_last_row_are_evaluated(self, sin_form_calls, seed):
         # odd frequencies from 101 at t = pi: 2 |sin(nu t / 2)| = 2, so g(t) = 4^k sum a^2,
         # which is also the bound of every row with h >= 2 / 101; only the slack keeps
         # those rows as candidates when rounding puts the bound below g(t)
@@ -421,10 +406,9 @@ class TestModulusP2Pruned:
         amps = rng.uniform(0.1, 1.0, freqs.size) * rng.choice([-1.0, 1.0], freqs.size)
         got = modulus_p2_exact(CosineSeries.from_support(freqs, amps, 259), 2, math.pi, 17)
         assert got == pytest.approx(4.0 * math.sqrt(math.pi * np.sum(amps * amps)), rel=1e-14)
-        # the 15 rows with h > 0 all reach the screen, which proves each below g(t), so
-        # only the h = t row takes its sines
-        assert screened == [(15, 0)]
-        assert sum(rows for rows, cols in sin_form_calls if cols == freqs.size) == 1
+        # the Taylor stage's bound of the 15 rows with h > 0 reaches g(t) too, so none is
+        # cleared and each takes its sines, as does the h = t row
+        assert sum(rows for rows, cols in sin_form_calls if cols == freqs.size) == 16
 
     @pytest.mark.parametrize("size", [40, 200], ids=["exact_block", "pruned"])
     @pytest.mark.parametrize("t", [1e-160, 1e-200])
@@ -498,7 +482,7 @@ def _wide_p2_support(draw):
 
 class TestTaylorBand:
     """The Taylor bound of the high band about h = t only clears candidate rows of the p = 2
-    table, and on the benchmark tables it clears all of them before the rotation screen."""
+    table, and on the benchmark tables it clears all of them, so no candidate takes sines."""
 
     @given(ser=_wide_p2_support(), k=st.sampled_from([1, 2, 3]),
            h_samples=st.sampled_from([17, 33, 257]), extra=st.integers(1, 64))
@@ -514,10 +498,10 @@ class TestTaylorBand:
         assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("s, size, k", [(1.5, 2048, 3), (2.0, 4096, 1), (2.0, 4096, 3)])
-    def test_no_row_reaches_the_screen_on_the_benchmark_tables(self, screened, s, size, k):
+    def test_only_the_h_t_rows_take_sines_on_the_benchmark_tables(self, sin_form_calls, s, size, k):
         # the bucket and high-band bounds leave 10,469, 1 and 6,174 candidate rows here
         ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
-        assert screened == []
+        assert sum(rows for rows, cols in sin_form_calls if cols == size) == 1024
 
 
 class TestModulusP2Monotone:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -547,6 +548,25 @@ class TestOmegaAtDomain:
         with pytest.raises(DomainError, match="positive integer nu, got 0$"):
             ModulusTable(power_law_series(2.0, 256), 1, 3.0).omega_at(0)
 
+    # omega_upto sliced its cache by [:nu_max] unchecked: after omega_upto(8), nu_max = -2
+    # gave omega(1/1)..omega(1/6), True one value, and 2.0 a bare TypeError
+    @pytest.mark.parametrize("nu_max", [-2, -1, True, False, 2.0, np.float64(3.0)])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_filled_table_refuses_nu_max_not_an_int_from_0(self, nu_max, p):
+        table = ModulusTable(power_law_series(2.0, 256), 1, p)
+        table.omega_upto(8)
+        message = re.escape(f"integer nu_max >= 0, got {nu_max!r}") + "$"
+        with pytest.raises(DomainError, match=message):
+            table.omega_upto(nu_max)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_nu_max_0_gives_an_empty_table(self, p):
+        table = ModulusTable(power_law_series(2.0, 256), 1, p)
+        assert table.omega_upto(0).size == 0
+        table.omega_upto(8)
+        assert table.omega_upto(0).size == 0
+        assert table.omega_upto(np.int64(3)).tolist() == table.omega_upto(8)[:3].tolist()
+
 
 class TestGridTableRangeLimit:
     def test_omega_upto_refuses_more_than_dense_limit_before_the_grid_table_kernel(
@@ -580,8 +600,8 @@ def _wide_support(draw):
 
 
 class TestBlockFilledTable:
-    """Supports wider than 64 frequencies fill the p = 2 table in blocks of nu, through a
-    screen of the candidate rows; each value must be modulus_p2_exact's bit for bit."""
+    """Supports wider than 64 frequencies fill the p = 2 table in blocks of nu, through the
+    bounds of the candidate rows; each value must be modulus_p2_exact's bit for bit."""
 
     @given(ser=_wide_support(), k=st.sampled_from([1, 2, 3]), extra=st.integers(1, 64))
     @settings(max_examples=15, deadline=None)
@@ -597,9 +617,9 @@ class TestBlockFilledTable:
             assert got[nu - 1] == pytest.approx(
                 oracles.modulus_p2_h_scan(ser.coeffs, k, 1.0 / nu, 17), rel=1e-12, abs=0.0)
 
-    def test_screen_hands_interior_sups_to_their_sines(self, monkeypatch):
+    def test_interior_sups_take_their_sines(self, monkeypatch):
         # flat amplitudes on nu = 1..100: below t = 4.5 / 100 the sup sits at an interior
-        # row, near h = 4.5 / 100, which the screen must keep for its sines
+        # row, near h = 4.5 / 100, which no bound may clear before its sines
         from trigsmooth import function_model
         rows = []
         real = function_model._sin_form_terms
@@ -611,7 +631,7 @@ class TestBlockFilledTable:
         monkeypatch.setattr(function_model, "_sin_form_terms", counting)
         ser = CosineSeries(np.ones(100))
         got = ModulusTable(ser, 1, 2.0).omega_upto(40)
-        assert sum(rows) > 40  # the 40 rows h = t, and those the screen kept
+        assert sum(rows) > 40  # the 40 rows h = t, and the candidates no bound cleared
         for nu in (1, 7, 20):
             want = oracles.modulus_p2_h_scan(ser.coeffs, 1, 1.0 / nu, 257)
             assert got[nu - 1] == pytest.approx(want, rel=1e-12, abs=0.0)
