@@ -461,8 +461,11 @@ class TestModulusP2BitExact:
            t=st.floats(0.0, math.pi, exclude_min=True), h_samples=st.sampled_from([17, 257]))
     @settings(max_examples=25, deadline=None)
     def test_homogeneity(self, coeffs, m, k, t, h_samples):
-        want = math.ldexp(modulus_p2_exact(CosineSeries(coeffs), k, t, h_samples), m)
-        assume(want >= 2.0**-1000)  # below, the scaled value itself loses digits
+        base = modulus_p2_exact(CosineSeries(coeffs), k, t, h_samples)
+        want = math.ldexp(base, m)
+        # below, the unscaled or the scaled value itself loses digits: at t = 1e-323 sixty-five
+        # unit terms give the subnormal 5.36e-321, whose 2^64 multiple is only 4 digits right
+        assume(min(base, want) >= 2.0**-1000)
         assert modulus_p2_exact(CosineSeries(np.ldexp(coeffs, m)), k, t, h_samples) == want
 
 
@@ -498,8 +501,9 @@ class TestTaylorBand:
         assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("s, size, k", [(1.5, 2048, 3), (2.0, 4096, 1), (2.0, 4096, 3)])
-    def test_only_the_h_t_rows_take_sines_on_the_benchmark_tables(self, sin_form_calls, s, size, k):
-        # the bucket and high-band bounds leave 10,469, 1 and 6,174 candidate rows here
+    def test_no_row_reaches_the_screen_on_the_benchmark_tables(self, sin_form_calls, s, size, k):
+        # the bucket and high-band bounds leave 10,469, 1 and 6,174 candidate rows here, and
+        # the Taylor stage screens all of them out, so only the 1,024 h = t rows take sines
         ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
         assert sum(rows for rows, cols in sin_form_calls if cols == size) == 1024
 
