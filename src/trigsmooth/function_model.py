@@ -230,7 +230,7 @@ def _tiny_scale(x, k: int):
     """s with 2^s x in [1/2, 1) where x < 2^-26 or x^(2k) may be below 2^-600, else 0, per entry
     of x >= nu_max h: the exact scale after the sine that keeps (2 sin(nu h / 2))^(2k) in range."""
     e = math.frexp(x)[1] if isinstance(x, float) else np.frexp(x)[1]  # math is faster on one
-    return -e * ((e <= -26) | (k * e <= -300))
+    return -e * (e <= max(-26, -300 // k))  # k e <= -300 exactly where e <= floor(-300 / k)
 
 
 def _row_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req: ModulusRequest,
@@ -280,13 +280,13 @@ def _high_band(f: np.ndarray, c: np.ndarray, j: int):
     m.  The prefix sums are built once; one that overflows gives an inf or NaN bound."""
     with np.errstate(over="ignore", invalid="ignore"):
         head = np.concatenate(([0.0], np.cumsum(c * f ** j)))  # sum_{i < m} c_i f_i^j
-    tail = np.cumsum(np.append(c, 0.0)[::-1])[::-1]  # sum_{i >= m} c_i
+        tail = np.ldexp(np.cumsum(np.append(c, 0.0)[::-1])[::-1], j)  # 2^j sum_{i >= m} c_i
 
     def bound(h, low):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             m = np.maximum(np.searchsorted(f, 2.0 / h), low)
-            below = head[m] - head[low] + 4 * f.size * 2.0**-53 * head[m]
-            return np.where(m > low, h ** j * below, 0.0) + np.ldexp(tail[m], j)
+            below = (top := head[m]) - head[low] + 4 * f.size * 2.0**-53 * top
+            return np.where(m > low, h ** j * below, 0.0) + tail[m]
     return bound
 
 
@@ -463,7 +463,6 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     freqs, amps = series.support()
     if freqs.size == 0:
         return 0.0
-    w = amps * amps
     if freqs[-1] * t <= math.pi and k < 512:
         # at small t or high k the terms would be subnormal and lose digits.  The float sine
         # is the identity below 2^-26, so scaling the shift by 2^e, which takes nu_max t into
@@ -472,54 +471,95 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         e = max(0, -27 - math.frexp(float(freqs[-1]) * t)[1])
         s = _tiny_scale(math.ldexp(float(freqs[-1]) * t, e), k)
         terms_t = _sin_form_terms(math.ldexp(t, e), freqs, k, s)
-        return math.ldexp(math.sqrt(math.pi * float(terms_t @ w)), -k * (e + s))
+        return math.ldexp(math.sqrt(math.pi * float(terms_t @ (amps * amps))), -k * (e + s))
     if k >= 512:  # 4^k overflows
         rows = max(1, _BATCH_SAMPLES // freqs.size)
         return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k), rows,
                                  shift_grid(t, h_samples)).max())
     if freqs.size <= _EXACT_BLOCK:
         return math.sqrt(math.pi * float((_sin_form_terms(shift_grid(t, h_samples), freqs, k)
-                                          @ w).max()))
-    return float(_p2_table(freqs, amps, k, np.array([t]), h_samples)[0])
+                                          @ (amps * amps)).max()))
+    return float(_p2_table(series, k, np.array([t]), h_samples)[0])
 
 
-def _p2_table(freqs: np.ndarray, amps: np.ndarray, k: int, ts: np.ndarray,
-              h_samples: int) -> np.ndarray:
-    """modulus_p2_exact at each t of ts (k < 512, and max_freq t >= 2^-28 so that no shift
-    needs scaling), in blocks of t whose arrays hold at most _BLOCK_ENTRIES entries.
-
-    The h = t rows of a block are one sine matrix, each row scaled by _tiny_scale and
-    summed by its own dot product (a matrix-vector product's rounding depends on the other
-    rows); where t max_freq <= pi that row is the value.  Other rows h = lambda t are
-    bounded from the h = t terms: for nu t <= pi by rho^(2k), rho = sin(lambda y) / sin(y)
-    at the top of nu's bucket in y = nu t / 2 (it grows with y, as x cot x decreases on
-    (0, pi)); above, by _high_band.  Rows whose bound, times 1 + _BOUND_SLACK (which covers
-    lambda = j / (h_samples - 1) too), reaches g(t) are candidates; _taylor_band bounds
-    their high band again about h = t, and those left take their sines."""
-    w, f = amps * amps, freqs.astype(float)
-    high = _high_band(f, w, 2 * k)  # an inf or NaN bound keeps its row
+def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> np.ndarray:
+    """modulus_p2_exact(series, k, t, h_samples) at each t of ts (k < 512, and max_freq t >= 2^-28
+    so that no shift needs scaling), in blocks of t whose arrays hold at most _BLOCK_ENTRIES
+    entries, by stages that only prune rows.  (1) The h = t rows, one sine matrix, each row scaled
+    by _tiny_scale and summed by its own dot product (a matrix-vector product rounds by its other
+    rows), are the value where t max_freq <= pi.  (2) Other rows h = lambda t are bounded, for
+    nu t <= pi by rho^(2k) times the h = t terms, rho = sin(lambda y) / sin(y) at the top of nu's
+    bucket in y = nu t / 2 (it grows with y, as x cot x decreases on (0, pi), and with lambda), and
+    above by _high_band, the row below t first (_last_row_clears); rows whose bound, times 1 +
+    _BOUND_SLACK (which covers lambda = j / (h_samples - 1) too), reaches g(t) are candidates.
+    (3) _first_order_band, (4) _taylor_band.  (5) The rows left take their sines."""
+    f, w, high, s1, tail = _p2_sums(series, k)
 
     def block(ts):
-        s = _tiny_scale(f[-1] * ts, k)  # 0 where t max_freq > pi
-        terms = _sin_form_terms(ts, freqs, k, s[:, None])
+        pruned = (x := f[-1] * ts) > math.pi
+        s = np.zeros(ts.size, int) if pruned.all() else _tiny_scale(x, k)  # 0 where x > pi
+        terms = _sin_form_terms(ts, f, k, s[:, None])
         top = np.array([row @ w for row in terms])
-        pruned = f[-1] * ts > math.pi
-        if not pruned.any():
-            return np.ldexp(np.sqrt(math.pi * top), -k * s)
-        grid, tw = shift_grid(ts, h_samples), terms * w
-        # low band: nu t <= 2 y_b for the first ends[:, b] nu, at most N - 1 (_high_band bounds any)
-        ends = np.minimum(np.searchsorted(f, _TWO_Y / ts[:, None], side="right"), f.size - 1)
-        low = _segment_sums(tw, np.hstack((0 * ends[:, :1], ends))) @ _bucket_ratios(k, h_samples).T
-        bound = np.hstack((low[:, :1], low[:, 1:] + high(grid[:, 1:-1], ends[:, -1:])))  # 0 < h < t
-        cand = pruned[:, None] & ~(bound * (1.0 + _BOUND_SLACK) < top[:, None])
-        if cand.any():
-            _taylor_band(f, w, k, ts, grid, cand, top, low, tw, ends[:, -1])
-        i, j = np.nonzero(cand)  # the rows left take their sines, _BLOCK_ENTRIES at a time
-        np.maximum.at(top, i, _in_batches(lambda i, j: [row @ w for row in _sin_form_terms(
-            grid[i, j], freqs, k)], max(1, _BLOCK_ENTRIES // f.size), i, j))
+        if pruned.any():
+            grid, tw, ratios = shift_grid(ts, h_samples), terms * w, _bucket_ratios(k, h_samples)
+            # low band: nu t <= 2 y_b for the first ends[:, b] nu, at most N - 1 (_high_band any)
+            ends = np.minimum(np.searchsorted(f, _TWO_Y / ts[:, None], side="right"), f.size - 1)
+            buckets = _segment_sums(tw, np.concatenate((0 * ends[:, :1], ends), axis=1))
+            pruned &= ~_last_row_clears(grid, top, buckets @ ratios[-1], high, ends[:, -1])
+        if pruned.any():
+            low = buckets @ ratios.T  # 0 < h < t below
+            bound = np.hstack((low[:, :1], low[:, 1:] + high(grid[:, 1:-1], ends[:, -1:])))
+            cand = pruned[:, None] & ~(bound * (1.0 + _BOUND_SLACK) < top[:, None])
+            if cand.any():
+                _first_order_band(f, k, ts, grid, cand, top, low, tw, ends[:, -1], s1, tail)
+            if cand.any():
+                _taylor_band(f, w, k, ts, grid, cand, top, low, tw, ends[:, -1])
+            i, j = np.nonzero(cand)  # the rows left take their sines, _BLOCK_ENTRIES at a time
+            np.maximum.at(top, i, _in_batches(lambda i, j: [row @ w for row in _sin_form_terms(
+                grid[i, j], f, k)], max(1, _BLOCK_ENTRIES // f.size), i, j))
         return np.ldexp(np.sqrt(math.pi * top), -k * s)
 
-    return _in_batches(block, max(1, _BLOCK_ENTRIES // max(freqs.size, h_samples)), ts)
+    return _in_batches(block, max(1, _BLOCK_ENTRIES // max(f.size, h_samples)), ts)
+
+
+@lru_cache(maxsize=1)  # one entry, since every caller holds the series and k fixed over a table
+def _p2_sums(series: CosineSeries, k: int):
+    """f = nu, w = a^2, _high_band(f, w, 2k), the prefix sums of w f and the suffix sums of w
+    (entry i sums the terms before i, or from i on), shared by every call and only read."""
+    f, w = series.support()[0].astype(float), np.square(series.support()[1])
+    with np.errstate(over="ignore"):  # one that overflows gives an inf or NaN bound
+        return (f, w, _high_band(f, w, 2 * k), np.cumsum(np.append(0.0, w * f)),
+                np.cumsum(np.append(w, 0.0)[::-1])[::-1])
+
+
+def _last_row_clears(grid: np.ndarray, top: np.ndarray, low: np.ndarray, high, start: np.ndarray):
+    """Whether the bound low + high(h, start) of h = grid[:, -2], times 1 + _BOUND_SLACK, is below
+    top, per t; both parts grow with h (_high_band's 4^k part takes nu where (h nu)^(2k) >= 4^k)."""
+    return (low + high(grid[:, -2], start)) * (1.0 + _BOUND_SLACK) < top
+
+
+def _first_order_band(f: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
+                      cand: np.ndarray, top: np.ndarray, low: np.ndarray, tw: np.ndarray,
+                      start: np.ndarray, s1: np.ndarray, tail: np.ndarray) -> None:
+    """Clear each candidate cand[i, j], h = grid[i, j], whose low[i, j] plus a first-order bound of
+    its high band (nu from start[i]) about t = ts[i], times 1 + _BOUND_SLACK, is below top[i]:
+    B + (d / 2) M_k sum_{nu < m} a^2 nu + 4^k sum_{nu >= m} a^2 (s1, tail), B the h = t row's band
+    sum below a split m (nu t <= 2^i pi, as in _taylor_band), M_k = 2k 4^k c^(k - 1/2) / sqrt(2k),
+    c = (2k - 1) / (2k), 2^-49 up, the sup of |d/dx (2 sin x)^(2k)|, and d = t - h + 2^-52 t (the
+    float half angles' gap over nu / 2) <= the float (1 + 2^-51) t - h.  Sines within 2^-48 add
+    4k 4^k 2^-48 sum a^2, and each sum 4 (F + k + 1) 2^-53 of its magnitude (B's, the row's own)."""
+    i, j = np.nonzero(cand)
+    octaves = np.ldexp(math.pi, np.arange(1, math.frexp(f[-1] * ts.max() / math.pi)[1] + 1))
+    m = np.minimum(np.searchsorted(f, octaves[:, None] / ts, side="right"), f.size - 1)  # m[e, t]
+    c4, gamma = 4.0**k, 1.0 + 4 * (f.size + k + 1) * 2.0**-53
+    half_mk = k * c4 * ((2 * k - 1) / (2 * k)) ** (k - 0.5) / math.sqrt(2 * k) * (1.0 + 2.0**-49)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
+        b = np.cumsum(_segment_sums(tw, np.concatenate((start[:, None], m.T), 1)), axis=1).T
+        slope = half_mk * (gamma * s1[m] - s1[start])  # the bound is rest + d slope, per split
+        rest = gamma * (b + c4 * tail[m]) + 4 * k * c4 * 2.0**-48 * tail[start]
+        d = (1.0 + 2.0**-51) * ts[i] - grid[i, j]  # split-major below: a fast reduce over splits
+        bound = np.fmin.reduce(np.take(rest, i, axis=1) + d * np.take(slope, i, axis=1), axis=0)
+        cand[i, j] = ~((low[i, j] + bound) * (1.0 + _BOUND_SLACK) < top[i])
 
 
 def _taylor_band(f: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
@@ -561,5 +601,5 @@ def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Sums of each row i of x over [edges[i, b], edges[i, b + 1]), each edge below x.shape[1]."""
     starts = edges + x.shape[1] * np.arange(x.shape[0])[:, None]
     sums = np.add.reduceat(x.ravel(), starts.ravel()).reshape(edges.shape)[:, :-1]
-    sums[np.diff(edges) == 0] = 0.0  # reduceat gives an empty segment its first entry
+    sums[edges[:, 1:] == edges[:, :-1]] = 0.0  # reduceat gives an empty segment its first entry
     return sums

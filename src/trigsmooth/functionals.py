@@ -100,7 +100,7 @@ class ModulusTable:
             ts = 1.0 / (missing + 1)
             self._omega[missing] = (_grid_table(self.series, self._request, ts, self._grid_n)
                                     if self.path == "grid" else
-                                    _p2_table(*self.series.support(), self.k, ts, self.h_samples))
+                                    _p2_table(self.series, self.k, ts, self.h_samples))
         return self._omega[:nu_max].copy()
 
 

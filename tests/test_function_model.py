@@ -502,10 +502,90 @@ class TestTaylorBand:
 
     @pytest.mark.parametrize("s, size, k", [(1.5, 2048, 3), (2.0, 4096, 1), (2.0, 4096, 3)])
     def test_no_row_reaches_the_screen_on_the_benchmark_tables(self, sin_form_calls, s, size, k):
-        # the bucket and high-band bounds leave 10,469, 1 and 6,174 candidate rows here, and
-        # the Taylor stage screens all of them out, so only the 1,024 h = t rows take sines
+        # the last-row test settles 104, 1,023 and 0 of the 1,024 t here, the row bounds leave
+        # 10,469, 1 and 6,174 candidate rows, and the first-order and Taylor stages clear all of
+        # them (the Taylor stage gets 50, 0 and 0), so only the 1,024 h = t rows take sines
         ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
         assert sum(rows for rows, cols in sin_form_calls if cols == size) == 1024
+
+
+_P2_SUPPORTS = st.one_of(_wide_p2_support(), _slowly_decaying_support(65, 400).map(CosineSeries))
+
+
+class TestFirstOrderBand:
+    """The last-row test and the first-order bound of the high band about h = t clear only rows
+    of the p = 2 table whose value lies below the h = t row's, so the table keeps its bits."""
+
+    @given(ser=_P2_SUPPORTS, k=st.sampled_from([1, 2, 3]),
+           h_samples=st.sampled_from([17, 33, 257]), extra=st.integers(1, 64))
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cleared_rows_lie_below_the_h_t_row(self, monkeypatch, ser, k, h_samples, extra):
+        settled, cleared = [], []  # (t, shifts of the rows cleared) per stage
+        last_row, first_order = function_model._last_row_clears, function_model._first_order_band
+
+        def last_row_spy(grid, *args):
+            out = last_row(grid, *args)
+            settled.extend((row[-1], row[1:-1]) for row in grid[out])  # every 0 < h < t
+            return out
+
+        def first_order_spy(f, k, ts, grid, cand, *args):
+            before = cand.copy()
+            first_order(f, k, ts, grid, cand, *args)
+            i, j = np.nonzero(before & ~cand)
+            cleared.extend(zip(ts[i], grid[i, j, None]))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(function_model, "_last_row_clears", last_row_spy)
+            patch.setattr(function_model, "_first_order_band", first_order_spy)
+            ModulusTable(ser, k, 2.0, h_samples).omega_upto(int(ser.max_freq / math.pi) + extra)
+        freqs, amps = ser.support()
+        w = amps * amps
+        for rows in (settled, cleared):
+            for t, hs in rows[::max(1, len(rows) // 32)]:
+                top = function_model._sin_form_terms(np.array([t]), freqs, k)[0] @ w
+                assert max(row @ w for row in function_model._sin_form_terms(hs, freqs, k)) < top
+
+    @given(ser=_P2_SUPPORTS, k=st.sampled_from([1, 2, 3]),
+           h_samples=st.sampled_from([17, 33, 257]), extra=st.integers(1, 64))
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_table_is_the_table_without_the_stages(self, monkeypatch, ser, k, h_samples, extra):
+        nu_max = int(ser.max_freq / math.pi) + extra
+        got = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
+        with monkeypatch.context() as patch:
+            patch.setattr(function_model, "_last_row_clears",
+                          lambda grid, top, *args: np.zeros(top.shape, bool))
+            patch.setattr(function_model, "_first_order_band", lambda *args: None)
+            want = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("s, size, k, settled, taylor", [
+        (2.0, 4096, 1, 1023, 0), (1.5, 2048, 3, 104, 50), (2.0, 4096, 3, 0, 0)])
+    def test_few_rows_reach_the_taylor_stage_on_the_benchmark_tables(
+            self, monkeypatch, s, size, k, settled, taylor):
+        counts = {"settled": 0, "first_order": 0, "taylor": 0}
+        last_row, first_order = function_model._last_row_clears, function_model._first_order_band
+        taylor_band = function_model._taylor_band
+
+        def last_row_spy(*args):
+            out = last_row(*args)
+            counts["settled"] += int(out.sum())
+            return out
+
+        def counting(name, stage, at):  # args[at] holds the candidates the stage is handed
+            def spy(*args):
+                counts[name] += int(args[at].sum())
+                stage(*args)
+            return spy
+
+        monkeypatch.setattr(function_model, "_last_row_clears", last_row_spy)
+        monkeypatch.setattr(function_model, "_first_order_band", counting("first_order", first_order, 4))
+        monkeypatch.setattr(function_model, "_taylor_band", counting("taylor", taylor_band, 5))
+        ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
+        # the row bounds hand the first-order stage 1, 10,469 and 6,174 candidate rows
+        assert counts["settled"] == settled
+        assert counts["taylor"] == taylor <= 0.01 * counts["first_order"]
 
 
 class TestModulusP2Monotone:
