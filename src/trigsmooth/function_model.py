@@ -151,7 +151,9 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
     """Grid modulus of smoothness: max over the shift grid of the L_p difference norm.
 
     Only h >= 0 is scanned; the norm of the k-th difference is even in h.  The sup is
-    certified rather than scanned, by the one-t call of the table kernel _grid_table."""
+    certified rather than scanned, by the one-t call of the table kernel _grid_table: rows are
+    pruned by coefficient bounds, at p != 2 near h = t by the secant of two evaluated rows plus
+    (h - h1) (t - h) C2 / 2, and between anchors by the anchors' values plus a difference bound."""
     return 0.0 if req.t == 0.0 else float(_grid_table(series, req, np.array([req.t]), n)[0])
 
 
@@ -163,20 +165,28 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
 
     The row h = t is evaluated on the grid first, and every other row g = Delta_h^k f is
     bounded from its coefficients (_row_bounds); the candidates are the rows whose bound,
-    times 1 + _BOUND_SLACK, reaches that value.  Candidates at a multiple of _ANCHOR_STEP
-    shifts are evaluated next, as anchors.  Every other candidate h is also bounded by
-    value(h0) + D for the evaluated anchors h0 at the two ends of its block, D bounding
-    Delta_h^k f - Delta_h0^k f: at k = 1 by the bound of row |h - h0| / step, whose
-    coefficient moduli it has, else by _difference_bounds.  Only candidates whose smallest
-    bound reaches the best value so far are evaluated; the rest are provably lower.  At
-    p > 2 the sup factors are capped from L >= sup |f'| (_slope_bound).  Amplitudes past
-    2^+-256 are scaled by a power of two, exactly, and the values are scaled back."""
+    times 1 + _BOUND_SLACK, reaches that value.  At p != 2 (at p = 2 every candidate ties u(t),
+    the h = t value) _secant_band evaluates one more row h1 = t - S, S = k u(t) / (t C2) in 2 to
+    (h_samples - 1) / 2 whole shifts, and clears each candidate h1 < h < t whose bound
+    ((t - h) u(h1) + (h - h1) u(t)) / S + ((h - h1) (t - h) / 2 + 2^-52 t) C2, times 1 +
+    _BOUND_SLACK, is below u(t): the linear interpolation error of a C^2 curve in any norm, with
+    C2 >= sup ||d^2/ds^2 Delta_s^k f||_p over 0 <= s <= t, plus 2^-53 t C2 per row for its float
+    angles nu h (within 2^-53 nu t; C2's moduli hold k nu m^(k-1)), so the slack covers only the
+    rows' relative rounding.  Off where C2 or u(t) is not a positive finite float or _grid_norms
+    scales the h = t row.
+    Candidates at a multiple of _ANCHOR_STEP shifts are evaluated next, as anchors.  Every
+    other candidate h is also bounded by value(h0) + D for the evaluated anchors h0 at the two
+    ends of its block, D bounding Delta_h^k f - Delta_h0^k f: at k = 1 by the bound of row
+    |h - h0| / step, whose coefficient moduli it has, else by _difference_bounds.  Only
+    candidates whose smallest bound reaches the best value so far are evaluated; the rest are
+    provably lower.  At p > 2 the sup factors are capped from L >= sup |f'| (_slope_bound).
+    Amplitudes past 2^+-256 are scaled by a power of two, exactly (_amp_scale), and the values
+    are scaled back."""
     _check_grid(series, n)
     freqs, amps = series.support()
     if freqs.size == 0:
         return np.zeros(ts.size)
-    scale = -math.frexp(float(np.abs(amps).max()))[1]
-    amps = np.ldexp(amps, scale := scale if abs(scale) > 256 else 0)
+    amps = np.ldexp(amps, scale := _amp_scale(series))
     slope = math.ldexp(_slope_bound(series, n), scale) if req.p > 2.0 else math.inf
     last, h_chunk = req.h_samples - 1, max(1, min(_BATCH_SAMPLES // n, ts.size * req.h_samples))
     spec = np.zeros((h_chunk, n // 2 + 1), dtype=complex)
@@ -192,6 +202,8 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
         bound = _row_bounds(hs, freqs, amps, req, _BLOCK_ENTRIES, slope, values[:, last:])
         # a NaN or inf bound keeps its row
         i, j = np.nonzero(~(bound * (1.0 + _BOUND_SLACK) < values[:, last:]))
+        if req.p != 2.0 and i.size:  # at p = 2 every candidate ties the h = t row
+            i, j = _secant_band(hs, values, i, j, freqs, amps, req, norms)
         at = j % _ANCHOR_STEP == 0
         values[i[at], j[at]] = norms(hs[i[at], j[at]])
         best = np.nanmax(values, axis=1)
@@ -215,6 +227,41 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
     with np.errstate(over="ignore"):  # past the float range: inf
         return np.ldexp(_in_batches(
             block, max(1, _BLOCK_ENTRIES // max(freqs.size, req.h_samples)), ts), -scale)
+
+
+def _secant_band(hs: np.ndarray, values: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 freqs: np.ndarray, amps: np.ndarray, req: ModulusRequest, norms):
+    """The candidates (i, j) of _grid_table's block that its secant stage leaves, with the rows
+    h1 = t - S evaluated into values.  C2 takes the moduli |a_nu| nu^2 (k (k - 1) m^(k-2) +
+    k m^(k-1)), m = min(nu t, 2), each row scaled by a power of two so that no square underflows."""
+    # the t with candidates, ascending (np.bincount: np.unique would import numpy.ma)
+    last, f, c2 = hs.shape[1] - 1, freqs.astype(float), np.zeros(hs.shape[0])
+    rows = np.flatnonzero(np.bincount(i, minlength=hs.shape[0]))
+    t, top, k = hs[rows, last], values[rows, last], req.k
+    m = np.minimum(np.multiply.outer(t, f), 2.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN, 0 or inf: off
+        mod = f * f * (k * m ** (k - 1) + (k * (k - 1)) * m ** max(k - 2, 0))
+        s = -np.frexp((mod * np.abs(amps)).max(axis=1))[1]
+        c2[rows] = np.ldexp(_holder_bounds(np.square(np.ldexp(mod, s[:, None])), amps, req.p), -s)
+        steps = np.minimum(np.floor(k * top * last / (t * t * c2[rows])), last // 2)
+    on = (steps >= 2) & (c2[rows] > 0.0) & (top < math.inf) & ~_scaled_rows(t, freqs, amps, req)
+    d = np.zeros(hs.shape[0], int)
+    d[rows[on]] = steps[on]
+    r = np.flatnonzero(np.bincount(i[band := j > last - d[i]], minlength=hs.shape[0]))
+    values[r, last - d[r]] = norms(hs[r, last - d[r]])
+    i1, j1 = i[band], last - d[i[band]]
+    bound = _secant_bounds(hs[i1, j[band]], hs[i1, j1], hs[i1, last], values[i1, j1],
+                           values[i1, last], c2[i1])
+    keep = np.isnan(values[i, j])
+    keep[band] &= ~(bound * (1.0 + _BOUND_SLACK) < values[i1, last])
+    return i[keep], j[keep]
+
+
+def _secant_bounds(h, h1, t, u1, ut, c2):
+    """((t - h) u1 + (h - h1) ut) / (t - h1) + ((h - h1) (t - h) / 2 + 2^-52 t) c2, per row h."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
+        return (((t - h) * u1 + (h - h1) * ut) / (t - h1)
+                + ((h - h1) * (t - h) / 2 + 2.0**-52 * t) * c2)
 
 
 def _in_batches(fn, h_chunk: int, *rows: np.ndarray) -> np.ndarray:
@@ -300,9 +347,7 @@ def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
     before the k-th power and the samples before |x|^p, each to a largest entry in
     [1/2, 1)) and their norms scaled back; the other rows keep the unscaled bits."""
     mult = np.exp(1j * np.outer(hs, freqs.astype(float))) - 1.0
-    e = np.frexp(np.minimum(2.0, freqs[-1] * hs))[1]
-    pu = req.p * (math.log2(np.abs(amps).sum()) + req.k * e)
-    far = np.flatnonzero((pu < -700.0) | (pu > 900.0))
+    far = np.flatnonzero(_scaled_rows(hs, freqs, amps, req))
     if far.size:  # ldexp on the float view is exact
         zs = -np.frexp(np.abs(mult[far]).max(axis=1))[1]
         mult.view(float)[far] = np.ldexp(mult.view(float)[far], zs[:, None])
@@ -324,6 +369,13 @@ def _grid_norms(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray,
         with np.errstate(over="ignore"):  # past the float range: inf
             out[far] = np.ldexp(out[far], -(req.k * zs + xs))
     return out
+
+
+def _scaled_rows(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req: ModulusRequest):
+    """Whether _grid_norms scales the row of each shift in hs: p u outside [-700, 900]."""
+    e = np.frexp(np.minimum(2.0, freqs[-1] * hs))[1]
+    pu = req.p * (math.log2(np.abs(amps).sum()) + req.k * e)
+    return (pu < -700.0) | (pu > 900.0)
 
 
 def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
@@ -452,7 +504,9 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     it, when t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on [0, t],
     so g peaks at h = t and that row alone is evaluated.  Otherwise supports of at most
     _EXACT_BLOCK frequencies are scanned in full, and wider ones are the one-t call of
-    the table kernel _p2_table, which certifies the sup by row bounds.
+    the table kernel _p2_table, which certifies the sup by row bounds.  Below k = 512 the
+    amplitudes past 2^+-256 are scaled by a power of two (_amp_scale), exactly, and the value
+    back, so that a^2 stays in the float range.
     """
     try:
         ModulusRequest(k, t, 2.0, h_samples)
@@ -463,7 +517,15 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     freqs, amps = series.support()
     if freqs.size == 0:
         return 0.0
-    if freqs[-1] * t <= math.pi and k < 512:
+    if k >= 512:  # 4^k overflows
+        rows = max(1, _BATCH_SAMPLES // freqs.size)
+        return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k), rows,
+                                 shift_grid(t, h_samples)).max())
+    if freqs[-1] * t > math.pi and freqs.size > _EXACT_BLOCK:
+        return float(_p2_table(series, k, np.array([t]), h_samples)[0])
+    if scale := _amp_scale(series):  # a^2 would leave the float range
+        amps = np.ldexp(amps, scale)
+    if freqs[-1] * t <= math.pi:
         # at small t or high k the terms would be subnormal and lose digits.  The float sine
         # is the identity below 2^-26, so scaling the shift by 2^e, which takes nu_max t into
         # [2^-28, 2^-27), scales every sine factor by exactly 2^e; the factors are then scaled
@@ -471,15 +533,14 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         e = max(0, -27 - math.frexp(float(freqs[-1]) * t)[1])
         s = _tiny_scale(math.ldexp(float(freqs[-1]) * t, e), k)
         terms_t = _sin_form_terms(math.ldexp(t, e), freqs, k, s)
-        return math.ldexp(math.sqrt(math.pi * float(terms_t @ (amps * amps))), -k * (e + s))
-    if k >= 512:  # 4^k overflows
-        rows = max(1, _BATCH_SAMPLES // freqs.size)
-        return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k), rows,
-                                 shift_grid(t, h_samples)).max())
-    if freqs.size <= _EXACT_BLOCK:
-        return math.sqrt(math.pi * float((_sin_form_terms(shift_grid(t, h_samples), freqs, k)
+        root, scale = math.sqrt(math.pi * float(terms_t @ (amps * amps))), scale + k * (e + s)
+    else:
+        root = math.sqrt(math.pi * float((_sin_form_terms(shift_grid(t, h_samples), freqs, k)
                                           @ (amps * amps)).max()))
-    return float(_p2_table(series, k, np.array([t]), h_samples)[0])
+    try:
+        return math.ldexp(root, -scale)
+    except OverflowError:  # past the float range
+        return math.inf
 
 
 def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> np.ndarray:
@@ -492,8 +553,9 @@ def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> n
     bucket in y = nu t / 2 (it grows with y, as x cot x decreases on (0, pi), and with lambda), and
     above by _high_band, the row below t first (_last_row_clears); rows whose bound, times 1 +
     _BOUND_SLACK (which covers lambda = j / (h_samples - 1) too), reaches g(t) are candidates.
-    (3) _first_order_band, (4) _taylor_band.  (5) The rows left take their sines."""
-    f, w, high, s1, tail = _p2_sums(series, k)
+    (3) _first_order_band, (4) _taylor_band.  (5) The rows left take their sines.  The squares
+    a^2 are taken of the amplitudes scaled by _amp_scale, and the values are scaled back."""
+    scale, f, w, high, s1, tail = _p2_sums(series, k)
 
     def block(ts):
         pruned = (x := f[-1] * ts) > math.pi
@@ -517,19 +579,32 @@ def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> n
             i, j = np.nonzero(cand)  # the rows left take their sines, _BLOCK_ENTRIES at a time
             np.maximum.at(top, i, _in_batches(lambda i, j: [row @ w for row in _sin_form_terms(
                 grid[i, j], f, k)], max(1, _BLOCK_ENTRIES // f.size), i, j))
-        return np.ldexp(np.sqrt(math.pi * top), -k * s)
+        with np.errstate(over="ignore"):  # past the float range: inf
+            return np.ldexp(np.sqrt(math.pi * top), -k * s - scale)
 
     return _in_batches(block, max(1, _BLOCK_ENTRIES // max(f.size, h_samples)), ts)
 
 
 @lru_cache(maxsize=1)  # one entry, since every caller holds the series and k fixed over a table
 def _p2_sums(series: CosineSeries, k: int):
-    """f = nu, w = a^2, _high_band(f, w, 2k), the prefix sums of w f and the suffix sums of w
-    (entry i sums the terms before i, or from i on), shared by every call and only read."""
-    f, w = series.support()[0].astype(float), np.square(series.support()[1])
+    """_amp_scale(series) = s, f = nu, w = (2^s a)^2, _high_band(f, w, 2k), the prefix sums of w f
+    and the suffix sums of w (entry i sums the terms before i, or from i on), shared by every
+    call and only read."""
+    (f, amps), s = series.support(), _amp_scale(series)
+    f, w = f.astype(float), np.square(np.ldexp(amps, s))
     with np.errstate(over="ignore"):  # one that overflows gives an inf or NaN bound
-        return (f, w, _high_band(f, w, 2 * k), np.cumsum(np.append(0.0, w * f)),
+        return (s, f, w, _high_band(f, w, 2 * k), np.cumsum(np.append(0.0, w * f)),
                 np.cumsum(np.append(w, 0.0)[::-1])[::-1])
+
+
+# one entry, since every caller holds the series fixed over a table
+@lru_cache(maxsize=1)
+def _amp_scale(series: CosineSeries) -> int:
+    """s with 2^s max |a_nu| in [1/2, 1) where |s| > 256, else 0, for a nonempty support: the
+    exact amplitude scale of the table kernels, past which a^2 or |Delta_h^k f|^p may leave
+    the float range."""
+    s = -math.frexp(float(np.abs(series.support()[1]).max()))[1]
+    return s if abs(s) > 256 else 0
 
 
 def _last_row_clears(grid: np.ndarray, top: np.ndarray, low: np.ndarray, high, start: np.ndarray):
@@ -585,14 +660,16 @@ def _taylor_band(f: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
         b = 2.0 * np.sin(x)  # (2 sin x)^(2k - 1) = b (b b)^(k - 1) below
         p = ((2 * k) * w * f) * np.cos(x) * reduce(np.multiply, [b * b] * (k - 1), b)
-        g, gp, ga = (np.cumsum(_segment_sums(y, edges), axis=1)[r]
+        # split-major, one column per candidate: a fast reduce over splits below
+        g, gp, ga = (np.take(np.cumsum(_segment_sums(y, edges), axis=1).T, r, axis=1)
                      for y in (tw[rows, c0:], p, np.abs(p)))
         s2, tail = np.cumsum(np.append(0.0, w * f**2)), np.cumsum(np.append(w, 0.0)[::-1])[::-1]
-        t, m, lo, c4, gamma = ts[i, None], m[r], lo[r], 4.0**k, 4 * (f.size + k + 1) * 2.0**-53
-        d = (delta := t - grid[i, j, None]) + 2.0**-52 * t
+        t, m, lo = ts[i], np.take(m.T, r, axis=1), lo[r, 0]
+        c4, gamma = 4.0**k, 4 * (f.size + k + 1) * 2.0**-53
+        d = (delta := t - grid[i, j]) + 2.0**-52 * t
         q, over = c4 * k * (d * d / 4 + 2.0**-48 * (5 + 4 * k * d)), c4 * tail[m]
         bound = np.fmin.reduce(g - delta * gp + q * (s2[m] - s2[lo]) + over + (2.0**-51 * t
-                               + gamma * delta) * ga + gamma * (g + q * s2[m] + over), axis=1)
+                               + gamma * delta) * ga + gamma * (g + q * s2[m] + over), axis=0)
         cand[i, j] = ~((low[i, j] + bound) * (1.0 + _BOUND_SLACK) < top[i])
 
 

@@ -494,8 +494,13 @@ class TestTaylorBand:
     def test_table_is_the_table_without_the_stage(self, monkeypatch, ser, k, h_samples, extra):
         # nu_max lies past max_freq / pi, where the rows stop being pruned
         nu_max = int(ser.max_freq / math.pi) + extra
-        got = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
         with monkeypatch.context() as patch:
+            # the stages ahead of it are out of both tables, so the Taylor stage gets every
+            # candidate of the row bounds
+            patch.setattr(function_model, "_last_row_clears",
+                          lambda grid, top, *args: np.zeros(top.shape, bool))
+            patch.setattr(function_model, "_first_order_band", lambda *args: None)
+            got = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
             patch.setattr(function_model, "_taylor_band", lambda *args: None)
             want = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
         assert got.tolist() == want.tolist()
@@ -586,6 +591,26 @@ class TestFirstOrderBand:
         # the row bounds hand the first-order stage 1, 10,469 and 6,174 candidate rows
         assert counts["settled"] == settled
         assert counts["taylor"] == taylor <= 0.01 * counts["first_order"]
+
+
+class TestP2AmplitudeRange:
+    """Past 2^+-256 the p = 2 kernels scale the amplitudes by a power of two, exactly, as the
+    grid kernel does, so that a^2 stays in the float range."""
+
+    @pytest.mark.parametrize("size", [200, 40])
+    @pytest.mark.parametrize("amp", [1e200, 1e-200])
+    def test_extreme_amplitudes_match_the_grid_modulus(self, size, amp):
+        # 1e200: a^2 overflowed, to NaN at t = 1, inf at t = 0.001 and NaN in omega_upto(3);
+        # 200 frequencies take the table kernel, 40 the exact block and the one-row path
+        rng = np.random.default_rng(5)
+        freqs = np.cumsum(rng.integers(1, 4, size))
+        ser = CosineSeries.from_support(freqs, rng.uniform(0.1, 1.0, size) * amp, int(freqs[-1]))
+        ts, n = [1.0, 0.001, 1 / 2, 1 / 3], auto_grid_size(ser)
+        want = [modulus(ser, ModulusRequest(1, t, 2.0, 17), n) for t in ts]
+        got = [modulus_p2_exact(ser, 1, t, 17) for t in ts]
+        table = ModulusTable(ser, 1, 2.0, 17).omega_upto(3).tolist()
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert table == pytest.approx([want[0], *want[2:]], rel=1e-12, abs=0.0)
 
 
 class TestModulusP2Monotone:
@@ -724,7 +749,7 @@ class TestModulusPruned:
 
     def test_spectrum_batch_memory_is_capped_at_large_grids(self, irfft_rows):
         # 64 harmonics of random sign spread up to 2**20: at p = 7 the sup-norm bound is
-        # loose, so most rows survive and the batches are full
+        # loose, so most rows survive
         rng = np.random.default_rng(5)
         coeffs = np.zeros(2**20 - 1)
         coeffs[rng.choice(coeffs.size, 64, replace=False)] = rng.choice([-1.0, 1.0], 64)
@@ -736,7 +761,8 @@ class TestModulusPruned:
         finally:
             tracemalloc.stop()
         assert sum(irfft_rows) > 8
-        # one batch: about 2**22 complex spectrum entries (64 MiB) and its 64 MiB of rows
+        # batches of one row at n = 2**21: 2**20 + 1 complex spectrum entries (16 MiB) and
+        # its 16 MiB of samples; the peak is about 33 MiB
         assert peak < 160 * 2**20
 
     def test_power_law_at_p3_neighbour_bounds_leave_few_rows(self, irfft_rows):
@@ -1135,3 +1161,58 @@ class TestGridTable:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(function_model, "_BATCH_SAMPLES", 1)
             assert modulus(ser, req, n) == want
+
+
+class TestSecantBand:
+    """At p != 2 the grid table bounds the candidate rows h0 < h < t by the secant of the
+    evaluated rows h0 = t - D and t plus a curvature term; it clears only rows below the
+    h = t row, so the table keeps its bits, and it clears most rows near t on power laws."""
+
+    @given(coeffs=_signed_support(1, 400), k=st.sampled_from([1, 2, 3]),
+           p=st.sampled_from([1.5, 3.0, 4.0]), h_samples=st.sampled_from([17, 257]),
+           extra=st.integers(1, 24))
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_table_is_the_table_without_the_stage(self, monkeypatch, coeffs, k, p, h_samples,
+                                                  extra):
+        # nu_max lies past max_freq / pi, where the sup moves to h = t
+        ser = CosineSeries(coeffs)
+        nu_max = int(ser.max_freq / math.pi) + extra
+        got = ModulusTable(ser, k, p, h_samples).omega_upto(nu_max)
+        with monkeypatch.context() as patch:
+            patch.setattr(function_model, "_secant_band", lambda hs, values, i, j, *args: (i, j))
+            want = ModulusTable(ser, k, p, h_samples).omega_upto(nu_max)
+        assert got.tolist() == want.tolist()
+
+    @given(coeffs=_signed_support(1, 120), k=st.sampled_from([1, 2, 3]),
+           p=st.sampled_from([1.5, 3.0, 4.0]), h_samples=st.sampled_from([17, 257]),
+           extra=st.integers(1, 24), oversample=st.sampled_from([1, 2]))
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bound_covers_the_evaluated_rows(self, monkeypatch, coeffs, k, p, h_samples, extra,
+                                             oversample):
+        ser = CosineSeries(coeffs)
+        freqs, amps = ser.support()
+        n, req = auto_grid_size(ser, 8) * oversample, ModulusRequest(k, 1.0, p, h_samples)
+        bounded = []  # (h, bound) of every row h0 < h < t the stage bounds
+        secant = function_model._secant_bounds
+
+        def spy(h, *args):
+            bound = secant(h, *args)
+            bounded.extend(zip(h, bound))
+            return bound
+
+        monkeypatch.setattr(function_model, "_secant_bounds", spy)
+        nus = np.arange(1, int(ser.max_freq / math.pi) + extra + 1)
+        function_model._grid_table(ser, req, 1.0 / nus, n)
+        for h, bound in bounded[::max(1, len(bounded) // 32)]:
+            spec = np.zeros((1, n // 2 + 1), dtype=complex)
+            value = function_model._grid_norms(np.array([h]), freqs, amps, req, n, spec)[0]
+            assert value <= bound * (1.0 + function_model._BOUND_SLACK)
+
+    @pytest.mark.parametrize("k, p, rows", [(1, 3.0, 530), (2, 4.0, 600), (3, 3.0, 1060)])
+    def test_power_law_tables_evaluate_few_rows(self, irfft_rows, k, p, rows):
+        # 521, 589 and 1,049 grid rows, the h = t rows included (1,291, 3,321 and 3,880
+        # without the stage), and one irfft for the slope bound
+        ModulusTable(power_law_series(2.0, 256), k, p).omega_upto(256)
+        assert sum(irfft_rows) <= rows + 1
