@@ -1212,7 +1212,7 @@ class TestSecantBand:
 
     @pytest.mark.parametrize("k, p, rows", [(1, 3.0, 530), (2, 4.0, 600), (3, 3.0, 1060)])
     def test_power_law_tables_evaluate_few_rows(self, irfft_rows, k, p, rows):
-        # 521, 589 and 1,049 grid rows, the h = t rows included (1,291, 3,321 and 3,880
+        # 521, 589 and 1,049 grid rows, the h = t rows included (1,291, 3,320 and 3,879
         # without the stage), and one irfft for the slope bound
         ModulusTable(power_law_series(2.0, 256), k, p).omega_upto(256)
         assert sum(irfft_rows) <= rows + 1
