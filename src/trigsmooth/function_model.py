@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -553,8 +553,8 @@ def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> n
     bucket in y = nu t / 2 (it grows with y, as x cot x decreases on (0, pi), and with lambda), and
     above by _high_band, the row below t first (_last_row_clears); rows whose bound, times 1 +
     _BOUND_SLACK (which covers lambda = j / (h_samples - 1) too), reaches g(t) are candidates.
-    (3) _first_order_band, (4) _taylor_band.  (5) The rows left take their sines.  The squares
-    a^2 are taken of the amplitudes scaled by _amp_scale, and the values are scaled back."""
+    (3) _first_order_band.  (4) The rows left take their sines.  The squares a^2 are taken of
+    the amplitudes scaled by _amp_scale, and the values are scaled back."""
     scale, f, w, high, s1, tail = _p2_sums(series, k)
 
     def block(ts):
@@ -574,8 +574,6 @@ def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> n
             cand = pruned[:, None] & ~(bound * (1.0 + _BOUND_SLACK) < top[:, None])
             if cand.any():
                 _first_order_band(f, k, ts, grid, cand, top, low, tw, ends[:, -1], s1, tail)
-            if cand.any():
-                _taylor_band(f, w, k, ts, grid, cand, top, low, tw, ends[:, -1])
             i, j = np.nonzero(cand)  # the rows left take their sines, _BLOCK_ENTRIES at a time
             np.maximum.at(top, i, _in_batches(lambda i, j: [row @ w for row in _sin_form_terms(
                 grid[i, j], f, k)], max(1, _BLOCK_ENTRIES // f.size), i, j))
@@ -617,12 +615,14 @@ def _first_order_band(f: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
                       cand: np.ndarray, top: np.ndarray, low: np.ndarray, tw: np.ndarray,
                       start: np.ndarray, s1: np.ndarray, tail: np.ndarray) -> None:
     """Clear each candidate cand[i, j], h = grid[i, j], whose low[i, j] plus a first-order bound of
-    its high band (nu from start[i]) about t = ts[i], times 1 + _BOUND_SLACK, is below top[i]:
-    B + (d / 2) M_k sum_{nu < m} a^2 nu + 4^k sum_{nu >= m} a^2 (s1, tail), B the h = t row's band
-    sum below a split m (nu t <= 2^i pi, as in _taylor_band), M_k = 2k 4^k c^(k - 1/2) / sqrt(2k),
-    c = (2k - 1) / (2k), 2^-49 up, the sup of |d/dx (2 sin x)^(2k)|, and d = t - h + 2^-52 t (the
-    float half angles' gap over nu / 2) <= the float (1 + 2^-51) t - h.  Sines within 2^-48 add
-    4k 4^k 2^-48 sum a^2, and each sum 4 (F + k + 1) 2^-53 of its magnitude (B's, the row's own)."""
+    its high band (nu from start[i]) about t = ts[i], times 1 + _BOUND_SLACK, is below top[i]: the
+    least over the octave splits m (the index of the first nu with nu t > 2^e pi, e = 1, 2, ...
+    until 2^e pi passes max_freq t, at most the last index) of B + (d / 2) M_k sum_{nu < m} a^2 nu
+    + 4^k sum_{nu >= m} a^2 (s1, tail), B the h = t row's band sum below m, M_k = 2k 4^k
+    c^(k - 1/2) / sqrt(2k), c = (2k - 1) / (2k), 2^-49 up, the sup of |d/dx (2 sin x)^(2k)|, and
+    d = t - h + 2^-52 t (the float half angles' gap over nu / 2) <= the float (1 + 2^-51) t - h.
+    Sines within 2^-48 add 4k 4^k 2^-48 sum a^2, and each sum 4 (F + k + 1) 2^-53 of its
+    magnitude (B's, the row's own), F its columns, for its rounding."""
     i, j = np.nonzero(cand)
     octaves = np.ldexp(math.pi, np.arange(1, math.frexp(f[-1] * ts.max() / math.pi)[1] + 1))
     m = np.minimum(np.searchsorted(f, octaves[:, None] / ts, side="right"), f.size - 1)  # m[e, t]
@@ -635,43 +635,6 @@ def _first_order_band(f: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
         d = (1.0 + 2.0**-51) * ts[i] - grid[i, j]  # split-major below: a fast reduce over splits
         bound = np.fmin.reduce(np.take(rest, i, axis=1) + d * np.take(slope, i, axis=1), axis=0)
         cand[i, j] = ~((low[i, j] + bound) * (1.0 + _BOUND_SLACK) < top[i])
-
-
-def _taylor_band(f: np.ndarray, w: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
-                 cand: np.ndarray, top: np.ndarray, low: np.ndarray, tw: np.ndarray,
-                 start: np.ndarray) -> None:
-    """Clear each candidate cand[i, j], h = grid[i, j] >= t / 2 (so delta = t - h is exact), whose
-    low[i, j] plus a bound on its high band (nu from start[i]), times 1 + _BOUND_SLACK, is below
-    top[i].  psi(x) = (2 sin x)^(2k) has |psi''| <= 2k 4^k, and the float half angles of h and t
-    differ by delta nu / 2 within 2^-53 t nu.  So with G, G' and |G'| the band's sums below a split
-    m (nu t <= 2^i pi) of tw = a^2 psi and of p = a^2 2k nu (2 sin x)^(2k-1) cos x at h = t, the
-    band is at most G - delta G' + 2^-52 t |G'| + 4^k sum_{nu >= m} a^2 + k 4^k (d^2 / 4 + eps (5
-    + 4k d)) sum a^2 nu^2, d = delta + 2^-52 t: sines and cosines within eps = 2^-48 move tw, the
-    row's own terms and p by 3k, 2k and 2k 4^k eps (times a^2 and a^2 2k nu).  Each sum adds
-    4 (F + k + 1) 2^-53 of its magnitude (|p| term by term), F its columns, for its rounding."""
-    i, j = np.nonzero(cand & (2.0 * grid[:, :-1] >= ts[:, None]))
-    rows, r = np.unique(i, return_inverse=True)
-    c0 = start.min()  # the columns from the block's lowest band start
-    f, w, lo = f[c0:], w[c0:], start[rows, None] - c0
-    octaves = np.ldexp(math.pi, np.arange(1, math.frexp(f[-1] * ts.max() / math.pi)[1] + 1))
-    m = np.minimum(np.searchsorted(f, octaves / ts[rows, None], side="right"), f.size - 1)
-    x = np.multiply.outer(ts[rows], 0.5 * f)  # the h = t rows' own angles
-    edges = np.hstack((lo, m))  # the band's segments [lo, m_1), [m_1, m_2), ... per row
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
-        b = 2.0 * np.sin(x)  # (2 sin x)^(2k - 1) = b (b b)^(k - 1) below
-        p = ((2 * k) * w * f) * np.cos(x) * reduce(np.multiply, [b * b] * (k - 1), b)
-        # split-major, one column per candidate: a fast reduce over splits below
-        g, gp, ga = (np.take(np.cumsum(_segment_sums(y, edges), axis=1).T, r, axis=1)
-                     for y in (tw[rows, c0:], p, np.abs(p)))
-        s2, tail = np.cumsum(np.append(0.0, w * f**2)), np.cumsum(np.append(w, 0.0)[::-1])[::-1]
-        t, m, lo = ts[i], np.take(m.T, r, axis=1), lo[r, 0]
-        c4, gamma = 4.0**k, 4 * (f.size + k + 1) * 2.0**-53
-        d = (delta := t - grid[i, j]) + 2.0**-52 * t
-        q, over = c4 * k * (d * d / 4 + 2.0**-48 * (5 + 4 * k * d)), c4 * tail[m]
-        bound = np.fmin.reduce(g - delta * gp + q * (s2[m] - s2[lo]) + over + (2.0**-51 * t
-                               + gamma * delta) * ga + gamma * (g + q * s2[m] + over), axis=0)
-        cand[i, j] = ~((low[i, j] + bound) * (1.0 + _BOUND_SLACK) < top[i])
-
 
 
 def _segment_sums(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

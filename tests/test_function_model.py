@@ -279,6 +279,14 @@ class TestModulusP2Pruned:
     @given(coeffs=_signed_support(65, 300), k=st.sampled_from([1, 2, 3]),
            t=st.floats(0.0, math.pi, exclude_min=True), h_samples=st.sampled_from([17, 33, 257]))
     @settings(max_examples=40, deadline=None)
+    # 400 unit terms at t = 1 / nu: the sup is interior up to nu = 86 (k = 1) and 92 (k = 3),
+    # and candidate rows take their sines up to nu = 95 and 100
+    @example(coeffs=np.ones(400), k=1, t=1 / 2, h_samples=17)
+    @example(coeffs=np.ones(400), k=1, t=1 / 20, h_samples=17)
+    @example(coeffs=np.ones(400), k=1, t=1 / 90, h_samples=17)
+    @example(coeffs=np.ones(400), k=3, t=1 / 2, h_samples=17)
+    @example(coeffs=np.ones(400), k=3, t=1 / 20, h_samples=17)
+    @example(coeffs=np.ones(400), k=3, t=1 / 95, h_samples=17)
     def test_matches_loop_oracle(self, coeffs, k, t, h_samples):
         got = modulus_p2_exact(CosineSeries(coeffs), k, t, h_samples)
         want = oracles.modulus_p2_h_scan(coeffs, k, t, h_samples)
@@ -406,8 +414,8 @@ class TestModulusP2Pruned:
         amps = rng.uniform(0.1, 1.0, freqs.size) * rng.choice([-1.0, 1.0], freqs.size)
         got = modulus_p2_exact(CosineSeries.from_support(freqs, amps, 259), 2, math.pi, 17)
         assert got == pytest.approx(4.0 * math.sqrt(math.pi * np.sum(amps * amps)), rel=1e-14)
-        # the Taylor stage's bound of the 15 rows with h > 0 reaches g(t) too, so none is
-        # cleared and each takes its sines, as does the h = t row
+        # the first-order stage's bound of the 15 rows with h > 0 reaches g(t) too, so none
+        # is cleared and each takes its sines, as does the h = t row
         assert sum(rows for rows, cols in sin_form_calls if cols == freqs.size) == 16
 
     @pytest.mark.parametrize("size", [40, 200], ids=["exact_block", "pruned"])
@@ -483,37 +491,6 @@ def _wide_p2_support(draw):
     return CosineSeries.from_support(nus, amps, int(nus[-1]))
 
 
-class TestTaylorBand:
-    """The Taylor bound of the high band about h = t only clears candidate rows of the p = 2
-    table, and on the benchmark tables it clears all of them, so no candidate takes sines."""
-
-    @given(ser=_wide_p2_support(), k=st.sampled_from([1, 2, 3]),
-           h_samples=st.sampled_from([17, 33, 257]), extra=st.integers(1, 64))
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_table_is_the_table_without_the_stage(self, monkeypatch, ser, k, h_samples, extra):
-        # nu_max lies past max_freq / pi, where the rows stop being pruned
-        nu_max = int(ser.max_freq / math.pi) + extra
-        with monkeypatch.context() as patch:
-            # the stages ahead of it are out of both tables, so the Taylor stage gets every
-            # candidate of the row bounds
-            patch.setattr(function_model, "_last_row_clears",
-                          lambda grid, top, *args: np.zeros(top.shape, bool))
-            patch.setattr(function_model, "_first_order_band", lambda *args: None)
-            got = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
-            patch.setattr(function_model, "_taylor_band", lambda *args: None)
-            want = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
-        assert got.tolist() == want.tolist()
-
-    @pytest.mark.parametrize("s, size, k", [(1.5, 2048, 3), (2.0, 4096, 1), (2.0, 4096, 3)])
-    def test_no_row_reaches_the_screen_on_the_benchmark_tables(self, sin_form_calls, s, size, k):
-        # the last-row test settles 104, 1,023 and 0 of the 1,024 t here, the row bounds leave
-        # 10,469, 1 and 6,174 candidate rows, and the first-order and Taylor stages clear all of
-        # them (the Taylor stage gets 50, 0 and 0), so only the 1,024 h = t rows take sines
-        ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
-        assert sum(rows for rows, cols in sin_form_calls if cols == size) == 1024
-
-
 _P2_SUPPORTS = st.one_of(_wide_p2_support(), _slowly_decaying_support(65, 400).map(CosineSeries))
 
 
@@ -565,32 +542,44 @@ class TestFirstOrderBand:
             want = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
         assert got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("s, size, k, settled, taylor", [
+    @pytest.mark.parametrize("s, size, k, settled, left", [
         (2.0, 4096, 1, 1023, 0), (1.5, 2048, 3, 104, 50), (2.0, 4096, 3, 0, 0)])
-    def test_few_rows_reach_the_taylor_stage_on_the_benchmark_tables(
-            self, monkeypatch, s, size, k, settled, taylor):
-        counts = {"settled": 0, "first_order": 0, "taylor": 0}
+    def test_few_rows_pass_the_stages_on_the_benchmark_tables(
+            self, monkeypatch, s, size, k, settled, left):
+        counts = {"settled": 0, "handed": 0, "left": 0}
         last_row, first_order = function_model._last_row_clears, function_model._first_order_band
-        taylor_band = function_model._taylor_band
 
         def last_row_spy(*args):
             out = last_row(*args)
             counts["settled"] += int(out.sum())
             return out
 
-        def counting(name, stage, at):  # args[at] holds the candidates the stage is handed
-            def spy(*args):
-                counts[name] += int(args[at].sum())
-                stage(*args)
-            return spy
+        def first_order_spy(*args):  # args[4] holds the candidates
+            counts["handed"] += int(args[4].sum())
+            first_order(*args)
+            counts["left"] += int(args[4].sum())
 
         monkeypatch.setattr(function_model, "_last_row_clears", last_row_spy)
-        monkeypatch.setattr(function_model, "_first_order_band", counting("first_order", first_order, 4))
-        monkeypatch.setattr(function_model, "_taylor_band", counting("taylor", taylor_band, 5))
+        monkeypatch.setattr(function_model, "_first_order_band", first_order_spy)
         ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
         # the row bounds hand the first-order stage 1, 10,469 and 6,174 candidate rows
         assert counts["settled"] == settled
-        assert counts["taylor"] == taylor <= 0.01 * counts["first_order"]
+        assert counts["left"] == left <= 0.01 * counts["handed"]
+
+    @pytest.mark.parametrize("s, size, k, left", [(1.5, 2048, 3, 50), (2.0, 4096, 1, 0),
+                                                  (2.0, 4096, 3, 0)])
+    def test_sine_rows_on_the_benchmark_tables(self, monkeypatch, s, size, k, left):
+        rows, sin_form_terms = {"h = t": 0, "candidate": 0}, function_model._sin_form_terms
+
+        def spy(hs, freqs, k, *scale):  # only the h = t rows are scaled (_tiny_scale)
+            if freqs.size == size:
+                rows["h = t" if scale else "candidate"] += np.size(hs)
+            return sin_form_terms(hs, freqs, k, *scale)
+
+        monkeypatch.setattr(function_model, "_sin_form_terms", spy)
+        ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
+        # the candidate rows that the first-order stage leaves take their sines
+        assert rows == {"h = t": 1024, "candidate": left}
 
 
 class TestP2AmplitudeRange:
