@@ -542,6 +542,23 @@ class TestFirstOrderBand:
             want = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
         assert got.tolist() == want.tolist()
 
+    @given(ser=_P2_SUPPORTS, k=st.sampled_from([1, 2, 3]),
+           h_samples=st.sampled_from([17, 33, 257]), extra=st.integers(1, 64))
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_table_is_the_table_without_the_first_order_stage(self, monkeypatch, ser, k,
+                                                              h_samples, extra):
+        nu_max = int(ser.max_freq / math.pi) + extra
+        with monkeypatch.context() as patch:
+            # the last-row test is out of both tables, so the first-order stage gets every
+            # candidate of the row bounds, those of the t the last-row test settles too
+            patch.setattr(function_model, "_last_row_clears",
+                          lambda grid, top, *args: np.zeros(top.shape, bool))
+            got = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
+            patch.setattr(function_model, "_first_order_band", lambda *args: None)
+            want = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
+        assert got.tolist() == want.tolist()
+
     @pytest.mark.parametrize("s, size, k, settled, left", [
         (2.0, 4096, 1, 1023, 0), (1.5, 2048, 3, 104, 50), (2.0, 4096, 3, 0, 0)])
     def test_few_rows_pass_the_stages_on_the_benchmark_tables(
