@@ -27,8 +27,12 @@ DEFAULT_GRID_N = 4096
 DEFAULT_H_SAMPLES = 257
 #: modulus_p2_exact scans every shift row of supports up to this size
 _EXACT_BLOCK = 64
-#: entries in each block array of the table kernels _p2_table and _grid_table
+#: terms of the p = 2 moment expansion, which only wider supports take, and its certified error
+_MOMENT_TERMS, _MOMENT_TOL = _EXACT_BLOCK, 1e-14
+#: entries in each block array of _grid_table, and in each F-wide chunk of _p2_table
 _BLOCK_ENTRIES = 2**14
+#: entries in each shift-grid array of a _p2_table pruning block: 15 t's at 257 shifts
+_PRUNE_ENTRIES = 2**12
 #: samples in each row batch of the grid kernel (rows times n) and of modulus_p2_exact's
 #: high-order scan (rows times frequencies): a working set that stays in cache
 _BATCH_SAMPLES = 2**17
@@ -502,9 +506,9 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
 
     From k = 512, where 4^k overflows, every row is scanned by _scaled_roots.  Below
     it, when t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on [0, t],
-    so g peaks at h = t and that row alone is evaluated.  Otherwise supports of at most
-    _EXACT_BLOCK frequencies are scanned in full, and wider ones are the one-t call of
-    the table kernel _p2_table, which certifies the sup by row bounds.  Below k = 512 the
+    so g peaks at h = t and that row alone is evaluated; otherwise supports of at most
+    _EXACT_BLOCK frequencies are scanned in full.  Wider supports are the one-t call of the
+    table kernel _p2_table: a moment row, or a sup certified by row bounds.  Below k = 512 the
     amplitudes past 2^+-256 are scaled by a power of two (_amp_scale), exactly, and the value
     back, so that a^2 stays in the float range.
     """
@@ -521,7 +525,7 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
         rows = max(1, _BATCH_SAMPLES // freqs.size)
         return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k), rows,
                                  shift_grid(t, h_samples)).max())
-    if freqs[-1] * t > math.pi and freqs.size > _EXACT_BLOCK:
+    if freqs.size > _EXACT_BLOCK:
         return float(_p2_table(series, k, np.array([t]), h_samples)[0])
     if scale := _amp_scale(series):  # a^2 would leave the float range
         amps = np.ldexp(amps, scale)
@@ -544,43 +548,100 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
 
 
 def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> np.ndarray:
-    """modulus_p2_exact(series, k, t, h_samples) at each t of ts (k < 512, and max_freq t >= 2^-28
-    so that no shift needs scaling), in blocks of t whose arrays hold at most _BLOCK_ENTRIES
-    entries, by stages that only prune rows.  (1) The h = t rows, one sine matrix, each row scaled
-    by _tiny_scale and summed by its own dot product (a matrix-vector product rounds by its other
-    rows), are the value where t max_freq <= pi.  (2) Other rows h = lambda t are bounded, for
-    nu t <= pi by rho^(2k) times the h = t terms, rho = sin(lambda y) / sin(y) at the top of nu's
-    bucket in y = nu t / 2 (it grows with y, as x cot x decreases on (0, pi), and with lambda), and
-    above by _high_band, the row below t first (_last_row_clears); rows whose bound, times 1 +
-    _BOUND_SLACK (which covers lambda = j / (h_samples - 1) too), reaches g(t) are candidates.
-    (3) _first_order_band.  (4) The rows left take their sines.  The squares a^2 are taken of
-    the amplitudes scaled by _amp_scale, and the values are scaled back."""
+    """modulus_p2_exact(series, k, t, h_samples) at each t of ts (k < 512; on a support of at most
+    _MOMENT_TERMS frequencies, max_freq t >= 2^-28, so that no shift needs scaling).  Where
+    t max_freq <= pi on a wider support, the moment rows (_moment_rows) are the value wherever
+    certified, as they are wherever max_freq t < 2^-28.  The other t go in pruning blocks of
+    _PRUNE_ENTRIES // h_samples t's, F-wide work in chunks of _BLOCK_ENTRIES entries, by stages
+    that only prune rows.  (1) The h = t rows, each scaled by _tiny_scale and summed by its own dot
+    product (a matrix-vector product rounds by its other rows), are the value where t max_freq <=
+    pi.  (2) Other rows h = lambda t are bounded, for nu t <= pi by rho^(2k) times the h = t terms,
+    rho = sin(lambda y) / sin(y) at the top of nu's bucket in y = nu t / 2 (it grows with y, as
+    x cot x decreases on (0, pi), and with lambda), and above by _high_band, the row below t first
+    (_last_row_clears); rows whose bound, times 1 + _BOUND_SLACK (which covers lambda = j /
+    (h_samples - 1) too), reaches g(t) are candidates.  (3) _first_order_band.  (4) The rows left
+    take their sines.  The squares a^2 are of the amplitudes scaled by _amp_scale, scaled back."""
+    if series.support()[0].size == 0:
+        return np.zeros(ts.size)
     scale, f, w, high, s1, tail = _p2_sums(series, k)
 
     def block(ts):
         pruned = (x := f[-1] * ts) > math.pi
         s = np.zeros(ts.size, int) if pruned.all() else _tiny_scale(x, k)  # 0 where x > pi
-        terms = _sin_form_terms(ts, f, k, s[:, None])
-        top = np.array([row @ w for row in terms])
+        # low band: nu t <= 2 y_b for the first ends[:, b] nu, at most N - 1 (_high_band any);
+        # then _first_order_band's octave splits, up to the block's largest t
+        ends = np.minimum(np.searchsorted(f, _TWO_Y / ts[:, None], side="right"), f.size - 1)
+        octaves = np.ldexp(math.pi, np.arange(1, math.frexp(x.max() / math.pi)[1] + 1))
+        splits = np.minimum(np.searchsorted(f, octaves / ts[:, None], side="right"), f.size - 1)
+        edges = np.concatenate((0 * ends[:, :1], ends, splits), axis=1)
+        sums, step = np.empty(edges.shape), max(1, _BLOCK_ENTRIES // f.size)
+        for lo in range(0, ts.size, step):  # g(t), then the h = t terms summed between the edges
+            terms = _sin_form_terms(ts[lo: lo + step], f, k, s[lo: lo + step, None])
+            sums[lo: lo + step, 0] = [row @ w for row in terms]
+            sums[lo: lo + step, 1:] = _segment_sums(np.multiply(terms, w, out=terms),
+                                                    edges[lo: lo + step])
+        top, buckets = sums[:, 0], sums[:, 1: _RATIO_BUCKETS + 1]
         if pruned.any():
-            grid, tw, ratios = shift_grid(ts, h_samples), terms * w, _bucket_ratios(k, h_samples)
-            # low band: nu t <= 2 y_b for the first ends[:, b] nu, at most N - 1 (_high_band any)
-            ends = np.minimum(np.searchsorted(f, _TWO_Y / ts[:, None], side="right"), f.size - 1)
-            buckets = _segment_sums(tw, np.concatenate((0 * ends[:, :1], ends), axis=1))
+            grid, ratios = shift_grid(ts, h_samples), _bucket_ratios(k, h_samples)
             pruned &= ~_last_row_clears(grid, top, buckets @ ratios[-1], high, ends[:, -1])
         if pruned.any():
             low = buckets @ ratios.T  # 0 < h < t below
             bound = np.hstack((low[:, :1], low[:, 1:] + high(grid[:, 1:-1], ends[:, -1:])))
             cand = pruned[:, None] & ~(bound * (1.0 + _BOUND_SLACK) < top[:, None])
             if cand.any():
-                _first_order_band(f, k, ts, grid, cand, top, low, tw, ends[:, -1], s1, tail)
+                _first_order_band(f, k, ts, grid, cand, top, low, sums[:, _RATIO_BUCKETS + 1:],
+                                  splits, ends[:, -1], s1, tail)
             i, j = np.nonzero(cand)  # the rows left take their sines, _BLOCK_ENTRIES at a time
             np.maximum.at(top, i, _in_batches(lambda i, j: [row @ w for row in _sin_form_terms(
-                grid[i, j], f, k)], max(1, _BLOCK_ENTRIES // f.size), i, j))
+                grid[i, j], f, k)], step, i, j))
         with np.errstate(over="ignore"):  # past the float range: inf
             return np.ldexp(np.sqrt(math.pi * top), -k * s - scale)
 
-    return _in_batches(block, max(1, _BLOCK_ENTRIES // max(f.size, h_samples)), ts)
+    out, rest = np.empty(ts.size), np.ones(ts.size, bool)
+    if f.size > _MOMENT_TERMS and (near := f[-1] * ts <= math.pi).any():
+        out[near], ok = _moment_rows(series, k, f[-1] * ts[near])
+        rest[near] = ~ok
+    out[rest] = _in_batches(block, max(1, _PRUNE_ENTRIES // h_samples), ts[rest])
+    return out
+
+
+@lru_cache(maxsize=1)  # one entry, since every caller holds the series and k fixed over a table
+def _p2_moments(series: CosineSeries, k: int):
+    """c_i = q_i M_(2k + 2i), i < J = _MOMENT_TERMS, and u_k.  q_i > 0 are the coefficients of
+    (sum_i 2 s^i / (2i + 2)!)^k, so (2 - 2 cos x)^k = x^(2k) sum_i q_i (-x^2)^i, and M_q = sum w
+    (nu / F)^q with _p2_sums's w, F = max_freq.  Up to u_k = t F the terms from i = J on add at
+    most _MOMENT_TOL / 100 of v = g / u^(2k): x^(2j) has a coefficient below 4^k k^(2j) / (2j)!
+    and M_q <= M_2k <= (pi / 2)^(2k) v, so they add at most (pi k)^(2k) (k u)^(2J) / (2k + 2J)! /
+    (1 - r) of v, r = (k u)^2 / ((2k + 2J + 1) (2k + 2J + 2)), at most 1/2 there for k < 512."""
+    q = p = np.array([2.0 / math.factorial(2 * i + 2) for i in range(_MOMENT_TERMS)])
+    for _ in range(k - 1):
+        q = np.convolve(q, p)[:_MOMENT_TERMS]
+    _, f, w, *_ = _p2_sums(series, k)
+    x, moments = (r2 := np.square(f / f[-1])) ** k, np.empty(_MOMENT_TERMS)
+    for i in range(_MOMENT_TERMS):
+        moments[i], x = x @ w, x * r2
+    j = 2 * _MOMENT_TERMS
+    ku = math.exp((math.log(_MOMENT_TOL / 200) + math.lgamma(2 * k + j + 1)) / j) / (math.pi * k) ** (
+        2 * k / j)
+    return q * moments, ku / k
+
+
+def _moment_rows(series: CosineSeries, k: int, u: np.ndarray):
+    """_p2_table's value at t = u / max_freq for each u <= pi of u, and whether it is certified:
+    sqrt(pi v) u^k, v = sum_i c_i (-u^2)^i (_p2_moments) by Horner's rule, with u^k = 2^(k e) m^k,
+    m in [1/2, 1), so that nothing underflows before the final ldexp.  Certified where u <= u_k
+    and the rounding of the alternating sum, 2^-52 sum_i c_i u^(2i), is at most 0.99 _MOMENT_TOL v.
+    Each entry is computed alone."""
+    c, top = _p2_moments(series, k)
+    x = u * u
+    va, xs = np.full((2, u.size), c[-1]), np.stack((-x, x))
+    for ci in c[-2::-1]:  # v, and the sum of the terms' moduli
+        va *= xs
+        va += ci
+    m, e = np.frexp(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the float range; v < 0 fails
+        value = np.ldexp(np.sqrt(math.pi * va[0]) * m ** k, k * e - _amp_scale(series))
+        return value, (u <= top) & (2.0**-52 * va[1] <= 0.99 * _MOMENT_TOL * va[0])
 
 
 @lru_cache(maxsize=1)  # one entry, since every caller holds the series and k fixed over a table
@@ -612,27 +673,26 @@ def _last_row_clears(grid: np.ndarray, top: np.ndarray, low: np.ndarray, high, s
 
 
 def _first_order_band(f: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
-                      cand: np.ndarray, top: np.ndarray, low: np.ndarray, tw: np.ndarray,
-                      start: np.ndarray, s1: np.ndarray, tail: np.ndarray) -> None:
+                      cand: np.ndarray, top: np.ndarray, low: np.ndarray, octaves: np.ndarray,
+                      m: np.ndarray, start: np.ndarray, s1: np.ndarray, tail: np.ndarray) -> None:
     """Clear each candidate cand[i, j], h = grid[i, j], whose low[i, j] plus a first-order bound of
     its high band (nu from start[i]) about t = ts[i], times 1 + _BOUND_SLACK, is below top[i]: the
-    least over the octave splits m (the index of the first nu with nu t > 2^e pi, e = 1, 2, ...
-    until 2^e pi passes max_freq t, at most the last index) of B + (d / 2) M_k sum_{nu < m} a^2 nu
-    + 4^k sum_{nu >= m} a^2 (s1, tail), B the h = t row's band sum below m, M_k = 2k 4^k
+    least over the octave splits m[i] (the index of the first nu with nu t > 2^e pi, e = 1, 2, ...
+    until 2^e pi passes max_freq t, at most the last index, which later e repeat) of B + (d / 2)
+    M_k sum_{nu < m} a^2 nu + 4^k sum_{nu >= m} a^2 (s1, tail), B the sum of octaves[i], the h = t
+    row's band sums between the splits from start[i], up to m, M_k = 2k 4^k
     c^(k - 1/2) / sqrt(2k), c = (2k - 1) / (2k), 2^-49 up, the sup of |d/dx (2 sin x)^(2k)|, and
     d = t - h + 2^-52 t (the float half angles' gap over nu / 2) <= the float (1 + 2^-51) t - h.
     Sines within 2^-48 add 4k 4^k 2^-48 sum a^2, and each sum 4 (F + k + 1) 2^-53 of its
     magnitude (B's, the row's own), F its columns, for its rounding."""
     i, j = np.nonzero(cand)
-    octaves = np.ldexp(math.pi, np.arange(1, math.frexp(f[-1] * ts.max() / math.pi)[1] + 1))
-    m = np.minimum(np.searchsorted(f, octaves[:, None] / ts, side="right"), f.size - 1)  # m[e, t]
     c4, gamma = 4.0**k, 1.0 + 4 * (f.size + k + 1) * 2.0**-53
     half_mk = k * c4 * ((2 * k - 1) / (2 * k)) ** (k - 0.5) / math.sqrt(2 * k) * (1.0 + 2.0**-49)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
-        b = np.cumsum(_segment_sums(tw, np.concatenate((start[:, None], m.T), 1)), axis=1).T
+        b, m = np.cumsum(octaves, axis=1).T, m.T  # split-major: a fast reduce over splits below
         slope = half_mk * (gamma * s1[m] - s1[start])  # the bound is rest + d slope, per split
         rest = gamma * (b + c4 * tail[m]) + 4 * k * c4 * 2.0**-48 * tail[start]
-        d = (1.0 + 2.0**-51) * ts[i] - grid[i, j]  # split-major below: a fast reduce over splits
+        d = (1.0 + 2.0**-51) * ts[i] - grid[i, j]
         bound = np.fmin.reduce(np.take(rest, i, axis=1) + d * np.take(slope, i, axis=1), axis=0)
         cand[i, j] = ~((low[i, j] + bound) * (1.0 + _BOUND_SLACK) < top[i])
 

@@ -272,6 +272,21 @@ def sin_form_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def moment_rows(monkeypatch):
+    """Number of certified rows of each _moment_rows call made while the test runs."""
+    calls = []
+    real = function_model._moment_rows
+
+    def counting(*args):
+        value, ok = real(*args)
+        calls.append(int(ok.sum()))
+        return value, ok
+
+    monkeypatch.setattr(function_model, "_moment_rows", counting)
+    return calls
+
+
 class TestModulusP2Pruned:
     """Supports wider than the exact block take the pruned path, which must return the
     same grid sup as a scan of every shift row."""
@@ -560,7 +575,7 @@ class TestFirstOrderBand:
         assert got.tolist() == want.tolist()
 
     @pytest.mark.parametrize("s, size, k, settled, left", [
-        (2.0, 4096, 1, 1023, 0), (1.5, 2048, 3, 104, 50), (2.0, 4096, 3, 0, 0)])
+        (2.0, 4096, 1, 1023, 0), (1.5, 2048, 3, 99, 50), (2.0, 4096, 3, 0, 0)])
     def test_few_rows_pass_the_stages_on_the_benchmark_tables(
             self, monkeypatch, s, size, k, settled, left):
         counts = {"settled": 0, "handed": 0, "left": 0}
@@ -579,13 +594,15 @@ class TestFirstOrderBand:
         monkeypatch.setattr(function_model, "_last_row_clears", last_row_spy)
         monkeypatch.setattr(function_model, "_first_order_band", first_order_spy)
         ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
-        # the row bounds hand the first-order stage 1, 10,469 and 6,174 candidate rows
+        # the row bounds hand the first-order stage 1, 10,469 and 6,174 candidate rows; the t
+        # with t max_freq <= pi are moment rows, which reach no last-row test
         assert counts["settled"] == settled
         assert counts["left"] == left <= 0.01 * counts["handed"]
 
-    @pytest.mark.parametrize("s, size, k, left", [(1.5, 2048, 3, 50), (2.0, 4096, 1, 0),
-                                                  (2.0, 4096, 3, 0)])
-    def test_sine_rows_on_the_benchmark_tables(self, monkeypatch, s, size, k, left):
+    @pytest.mark.parametrize("s, size, k, sines, moments, left", [
+        (1.5, 2048, 3, 651, 373, 50), (2.0, 4096, 1, 1024, 0, 0), (2.0, 4096, 3, 1024, 0, 0)])
+    def test_sine_rows_on_the_benchmark_tables(self, monkeypatch, moment_rows, s, size, k, sines,
+                                               moments, left):
         rows, sin_form_terms = {"h = t": 0, "candidate": 0}, function_model._sin_form_terms
 
         def spy(hs, freqs, k, *scale):  # only the h = t rows are scaled (_tiny_scale)
@@ -595,8 +612,65 @@ class TestFirstOrderBand:
 
         monkeypatch.setattr(function_model, "_sin_form_terms", spy)
         ModulusTable(power_law_series(s, size), k, 2.0).omega_upto(1024)
-        # the candidate rows that the first-order stage leaves take their sines
-        assert rows == {"h = t": 1024, "candidate": left}
+        # the h = t rows with t max_freq <= pi (nu >= 652 on power:1.5:2048) are moment rows,
+        # and the candidate rows that the first-order stage leaves take their sines
+        assert (rows, sum(moment_rows)) == ({"h = t": sines, "candidate": left}, moments)
+
+
+class TestP2TableBlocks:
+    """_p2_table sums its sine rows in chunks of at most _BLOCK_ENTRIES entries and prunes in
+    blocks of _PRUNE_ENTRIES // h_samples t's; neither size moves a value's bits."""
+
+    @given(ser=_P2_SUPPORTS, k=st.sampled_from([1, 2, 3]), h_samples=st.sampled_from([17, 257]),
+           extra=st.integers(1, 64))
+    @settings(max_examples=10, deadline=None)
+    def test_one_row_chunks_and_one_t_blocks_give_the_same_table(self, ser, k, h_samples, extra):
+        # nu_max past max_freq / pi: rows with t max_freq <= pi too, moment rows or sine rows
+        nu_max = int(ser.max_freq / math.pi) + extra
+        want = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(function_model, "_BLOCK_ENTRIES", 1)
+            mp.setattr(function_model, "_PRUNE_ENTRIES", 1)
+            got = ModulusTable(ser, k, 2.0, h_samples).omega_upto(nu_max)
+        assert got.tolist() == want.tolist()
+
+    def test_empty_support_gives_zeros(self):
+        # the amplitude scale took the largest of no amplitudes, a ValueError
+        got = function_model._p2_table(CosineSeries([0.0, 0.0, 0.0]), 1, np.array([0.5, 0.25]), 257)
+        assert got.tolist() == [0.0, 0.0]
+
+
+_MOMENT_SUPPORTS = st.one_of(st.sampled_from([power_law_series(2.0, 4096),
+                                              power_law_series(1.5, 2048)]),
+                             _signed_support(65, 300).map(CosineSeries))
+
+
+class TestMomentRows:
+    """Where t max_freq <= pi, a support wider than _MOMENT_TERMS takes the row h = t from the
+    moment expansion wherever its certificate holds, in the table and in modulus_p2_exact alike."""
+
+    @given(ser=_MOMENT_SUPPORTS, k=st.sampled_from([1, 2, 3]), u=st.floats(2.0**-20, math.pi))
+    @settings(max_examples=30, deadline=None)
+    def test_certified_rows_match_the_sine_row_and_mpmath(self, ser, k, u):
+        freqs, amps = ser.support()
+        t = u / ser.max_freq
+        assume(freqs[-1] * t <= math.pi)
+        value, ok = function_model._moment_rows(ser, k, np.array([float(freqs[-1]) * t]))
+        sine = math.sqrt(math.pi * float(
+            function_model._sin_form_terms(np.array([t]), freqs, k)[0] @ (amps * amps)))
+        assert modulus_p2_exact(ser, k, t) == (value[0] if ok[0] else sine)
+        if ok[0]:
+            assert value[0] == pytest.approx(sine, rel=1e-14, abs=0.0)
+            assert value[0] == pytest.approx(oracles.mp_modulus_p2(freqs, amps, k, t, 2),
+                                             rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("s, size", [(2.0, 4096), (1.5, 2048)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_power_laws_take_moment_rows_up_to_pi(self, s, size, k):
+        # every t with t max_freq <= pi is certified on both benchmark power laws at k <= 3
+        ser = power_law_series(s, size)
+        u = size / np.arange(math.ceil(size / math.pi), 16385)
+        assert function_model._moment_rows(ser, k, u)[1].all()
 
 
 class TestP2AmplitudeRange:
@@ -641,19 +715,23 @@ class TestModulusP2Monotone:
         assert got == pytest.approx(oracles.modulus_p2_h_scan(ser.coeffs, k, t, 257),
                                     rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("ser,t", [(power_law_series(1.5, 2048), 1.0 / 652),
-                                       (CosineSeries(np.ones(64)), math.pi / 64)],
-                             ids=["dense", "exact_block"])
-    def test_evaluates_the_last_row_only(self, sin_form_calls, ser, t):
+    # past _MOMENT_TERMS frequencies the last row is a moment row, without sines
+    @pytest.mark.parametrize("ser,t,sines,moments", [
+        (power_law_series(1.5, 2048), 1.0 / 652, [], [1]),
+        (CosineSeries(np.ones(64)), math.pi / 64, [(1, 64)], [])], ids=["dense", "exact_block"])
+    def test_evaluates_the_last_row_only(self, sin_form_calls, moment_rows, ser, t, sines, moments):
         modulus_p2_exact(ser, 3, t)
-        assert sin_form_calls == [(1, ser.support()[0].size)]
+        assert sin_form_calls == sines
+        assert moment_rows == moments
 
-    def test_tiny_t_evaluates_one_scaled_row(self, sin_form_calls):
+    def test_tiny_t_evaluates_one_moment_row(self, sin_form_calls, moment_rows):
+        # the scaled sine row of a support of at most _MOMENT_TERMS frequencies is
+        # test_tiny_t_matches_mpmath[exact_block]
         rng = np.random.default_rng(7)
         freqs = np.cumsum(rng.integers(1, 5, 200))
         ser = CosineSeries.from_support(freqs, rng.uniform(0.01, 1.0, 200), int(freqs[-1]))
         modulus_p2_exact(ser, 1, 1e-200, 17)
-        assert sin_form_calls == [(1, 200)]
+        assert (sin_form_calls, moment_rows) == ([], [1])
 
     @pytest.mark.parametrize("k", [19, 30])
     def test_tiny_t_at_high_order_matches_mpmath(self, k):
