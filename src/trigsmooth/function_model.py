@@ -568,8 +568,7 @@ def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> n
     def block(ts):
         pruned = (x := f[-1] * ts) > math.pi
         s = np.zeros(ts.size, int) if pruned.all() else _tiny_scale(x, k)  # 0 where x > pi
-        # low band: nu t <= 2 y_b for the first ends[:, b] nu, at most N - 1 (_high_band any);
-        # then _first_order_band's octave splits, up to the block's largest t
+        # low band: nu t <= 2 y_b for the first ends[:, b] nu, at most N - 1; then octave splits
         ends = np.minimum(np.searchsorted(f, _TWO_Y / ts[:, None], side="right"), f.size - 1)
         octaves = np.ldexp(math.pi, np.arange(1, math.frexp(x.max() / math.pi)[1] + 1))
         splits = np.minimum(np.searchsorted(f, octaves / ts[:, None], side="right"), f.size - 1)
@@ -621,20 +620,18 @@ def _p2_moments(series: CosineSeries, k: int):
     for i in range(_MOMENT_TERMS):
         moments[i], x = x @ w, x * r2
     j = 2 * _MOMENT_TERMS
-    ku = math.exp((math.log(_MOMENT_TOL / 200) + math.lgamma(2 * k + j + 1)) / j) / (math.pi * k) ** (
-        2 * k / j)
+    ku = math.exp((math.log(_MOMENT_TOL / 200) + math.lgamma(2 * k + j + 1)) / j
+                  - 2 * k / j * math.log(math.pi * k))
     return q * moments, ku / k
 
 
 def _moment_rows(series: CosineSeries, k: int, u: np.ndarray):
-    """_p2_table's value at t = u / max_freq for each u <= pi of u, and whether it is certified:
-    sqrt(pi v) u^k, v = sum_i c_i (-u^2)^i (_p2_moments) by Horner's rule, with u^k = 2^(k e) m^k,
-    m in [1/2, 1), so that nothing underflows before the final ldexp.  Certified where u <= u_k
-    and the rounding of the alternating sum, 2^-52 sum_i c_i u^(2i), is at most 0.99 _MOMENT_TOL v.
-    Each entry is computed alone."""
+    """_p2_table's value at t = u / max_freq for each u <= pi of u, computed alone, and whether it
+    is certified: sqrt(pi v) 2^(k e) m^k, u = 2^e m, m in [1/2, 1), so nothing underflows before
+    the ldexp, v = sum_i c_i (-u^2)^i (_p2_moments) by Horner's rule.  Certified where u <= u_k and
+    the rounding of the alternating sum, 2^-52 sum_i c_i u^(2i), is at most 0.99 _MOMENT_TOL v."""
     c, top = _p2_moments(series, k)
-    x = u * u
-    va, xs = np.full((2, u.size), c[-1]), np.stack((-x, x))
+    va, xs = np.full((2, u.size), c[-1]), np.stack((-u * u, u * u))
     for ci in c[-2::-1]:  # v, and the sum of the terms' moduli
         va *= xs
         va += ci
@@ -677,14 +674,14 @@ def _first_order_band(f: np.ndarray, k: int, ts: np.ndarray, grid: np.ndarray,
                       m: np.ndarray, start: np.ndarray, s1: np.ndarray, tail: np.ndarray) -> None:
     """Clear each candidate cand[i, j], h = grid[i, j], whose low[i, j] plus a first-order bound of
     its high band (nu from start[i]) about t = ts[i], times 1 + _BOUND_SLACK, is below top[i]: the
-    least over the octave splits m[i] (the index of the first nu with nu t > 2^e pi, e = 1, 2, ...
-    until 2^e pi passes max_freq t, at most the last index, which later e repeat) of B + (d / 2)
-    M_k sum_{nu < m} a^2 nu + 4^k sum_{nu >= m} a^2 (s1, tail), B the sum of octaves[i], the h = t
-    row's band sums between the splits from start[i], up to m, M_k = 2k 4^k
-    c^(k - 1/2) / sqrt(2k), c = (2k - 1) / (2k), 2^-49 up, the sup of |d/dx (2 sin x)^(2k)|, and
-    d = t - h + 2^-52 t (the float half angles' gap over nu / 2) <= the float (1 + 2^-51) t - h.
-    Sines within 2^-48 add 4k 4^k 2^-48 sum a^2, and each sum 4 (F + k + 1) 2^-53 of its
-    magnitude (B's, the row's own), F its columns, for its rounding."""
+    least over the octave splits m[i] (the first nu with nu t > 2^e pi, e = 1, 2, ... until 2^e pi
+    passes max_freq t, at most the last; later e repeat it) of B + (d / 2) M_k sum_{nu < m} a^2 nu
+    + 4^k sum_{nu >= m} a^2 (s1, tail), B the h = t row's band sums octaves[i] (between the splits
+    from start[i]) up to m, M_k = 2k 4^k c^(k - 1/2) / sqrt(2k), c = (2k - 1) / (2k), 2^-49 up,
+    the sup of |d/dx (2 sin x)^(2k)|, and d = t - h + 2^-52 t (the float half angles' gap over
+    nu / 2) <= the float (1 + 2^-51) t - h.  Sines within 2^-48 add 4k 4^k 2^-48 sum a^2, and
+    each sum 4 (F + k + 1) 2^-53 of its magnitude (B's, the row's own), F its columns, for its
+    rounding."""
     i, j = np.nonzero(cand)
     c4, gamma = 4.0**k, 1.0 + 4 * (f.size + k + 1) * 2.0**-53
     half_mk = k * c4 * ((2 * k - 1) / (2 * k)) ** (k - 0.5) / math.sqrt(2 * k) * (1.0 + 2.0**-49)
