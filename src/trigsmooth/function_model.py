@@ -48,7 +48,7 @@ MAX_H_SAMPLES = DENSE_LIMIT // _RATIO_BUCKETS + 1
 #: that ties the best row evaluated so far
 _BOUND_SLACK = 1e-9
 #: the grid modulus evaluates the candidate rows at multiples of this many shifts first
-#: and bounds the candidates between two of them from their values
+#: and bounds each candidate between two of them by their secant (_secant_bounds)
 _ANCHOR_STEP = 16
 
 
@@ -156,8 +156,8 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
 
     Only h >= 0 is scanned; the norm of the k-th difference is even in h.  The sup is
     certified rather than scanned, by the one-t call of the table kernel _grid_table: rows are
-    pruned by coefficient bounds, at p != 2 near h = t by the secant of two evaluated rows plus
-    (h - h1) (t - h) C2 / 2, and between anchors by the anchors' values plus a difference bound."""
+    pruned by coefficient bounds and by the secant of two rows h_a < h_b plus
+    (h - h_a) (h_b - h) C2 / 2, at p != 2 near h = t and, at any p, between anchors."""
     return 0.0 if req.t == 0.0 else float(_grid_table(series, req, np.array([req.t]), n)[0])
 
 
@@ -169,19 +169,19 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
 
     The row h = t is evaluated on the grid first, and every other row g = Delta_h^k f is
     bounded from its coefficients (_row_bounds); the candidates are the rows whose bound,
-    times 1 + _BOUND_SLACK, reaches that value.  At p != 2 (at p = 2 every candidate ties u(t),
-    the h = t value) _secant_band evaluates one more row h1 = t - S, S = k u(t) / (t C2) in 2 to
-    (h_samples - 1) / 2 whole shifts, and clears each candidate h1 < h < t whose bound
-    ((t - h) u(h1) + (h - h1) u(t)) / S + ((h - h1) (t - h) / 2 + 2^-52 t) C2, times 1 +
-    _BOUND_SLACK, is below u(t): the linear interpolation error of a C^2 curve in any norm, with
-    C2 >= sup ||d^2/ds^2 Delta_s^k f||_p over 0 <= s <= t, plus 2^-53 t C2 per row for its float
-    angles nu h (within 2^-53 nu t; C2's moduli hold k nu m^(k-1)), so the slack covers only the
-    rows' relative rounding.  Off where C2 or u(t) is not a positive finite float or _grid_norms
-    scales the h = t row.
+    times 1 + _BOUND_SLACK, reaches that value.  For the t with candidates, _c2 gives
+    C2 >= sup ||d^2/ds^2 Delta_s^k f||_p over 0 <= s <= t, and every row h between two rows
+    h_a < h_b <= t lies below their secant ((h_b - h) U_a + (h - h_a) U_b) / (h_b - h_a) +
+    ((h - h_a) (h_b - h) / 2 + 2^-52 h_b) C2 (_secant_bounds), U bounding their values: the
+    linear interpolation error of a C^2 curve in any norm, plus 2^-53 h_b C2 per row for its
+    float angles nu h (within 2^-53 nu h_b; C2's moduli hold k nu m^(k-1)), so the slack covers
+    only the rows' relative rounding.  At p != 2 (at p = 2 every candidate ties u(t), the h = t
+    value) _secant_band evaluates one more row h1 = t - S, S = k u(t) / (t C2) in 2 to
+    (h_samples - 1) / 2 whole shifts, and clears each candidate h1 < h < t whose secant bound
+    from h1 and t, times 1 + _BOUND_SLACK, is below u(t).
     Candidates at a multiple of _ANCHOR_STEP shifts are evaluated next, as anchors.  Every
-    other candidate h is also bounded by value(h0) + D for the evaluated anchors h0 at the two
-    ends of its block, D bounding Delta_h^k f - Delta_h0^k f: at k = 1 by the bound of row
-    |h - h0| / step, whose coefficient moduli it has, else by _difference_bounds.  Only
+    other candidate is also bounded by the secant of the two ends of its block, each an
+    anchor's value, or its row bound where it was not evaluated, or u(t) at h = t.  Only
     candidates whose smallest bound reaches the best value so far are evaluated; the rest are
     provably lower.  At p > 2 the sup factors are capped from L >= sup |f'| (_slope_bound).
     Amplitudes past 2^+-256 are scaled by a power of two, exactly (_amp_scale), and the values
@@ -206,24 +206,21 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
         bound = _row_bounds(hs, freqs, amps, req, _BLOCK_ENTRIES, slope, values[:, last:])
         # a NaN or inf bound keeps its row
         i, j = np.nonzero(~(bound * (1.0 + _BOUND_SLACK) < values[:, last:]))
+        # C2 for the t with candidates (np.bincount: np.unique would import numpy.ma)
+        c2, rows = np.full(ts.size, np.nan), np.flatnonzero(np.bincount(i, minlength=ts.size))
+        c2[rows] = _c2(ts[rows], values[rows, last], freqs, amps, req)
         if req.p != 2.0 and i.size:  # at p = 2 every candidate ties the h = t row
-            i, j = _secant_band(hs, values, i, j, freqs, amps, req, norms)
+            i, j = _secant_band(hs, values, i, j, c2, req.k, norms)
         at = j % _ANCHOR_STEP == 0
         values[i[at], j[at]] = norms(hs[i[at], j[at]])
         best = np.nanmax(values, axis=1)
         i, j = i[~at], j[~at]
-        below = j - j % _ANCHOR_STEP
-        offset = bound[:, :_ANCHOR_STEP].copy()  # bounds, not values: D's row is translated by h0
-        for ends in (below, np.minimum(below + _ANCHOR_STEP, last)):
-            near = ~np.isnan(values[i, ends])
-            rows, cols, anchor = i[near], j[near], ends[near]
-            # overflow only loosens a neighbour bound to inf, or to NaN via 0 * inf, and
-            # fmin then keeps the row's other bound
-            with np.errstate(over="ignore", invalid="ignore"):
-                diff = offset[rows, np.abs(cols - anchor)] if req.k == 1 else _in_batches(
-                    lambda h, h0: _difference_bounds(h, h0, freqs, amps, req.k, req.p, slope),
-                    max(1, _BLOCK_ENTRIES // freqs.size), hs[rows, cols], hs[rows, anchor])
-                bound[rows, cols] = np.fmin(bound[rows, cols], values[rows, anchor] + diff)
+        # the block ends: an evaluated row's value, else its row bound
+        ends = np.where(np.isnan(values), np.hstack((bound, values[:, last:])), values)
+        a = j - j % _ANCHOR_STEP
+        b = np.minimum(a + _ANCHOR_STEP, last)
+        bound[i, j] = np.fmin(bound[i, j], _secant_bounds(  # fmin keeps a NaN C2's row bound
+            hs[i, j], hs[i, a], hs[i, b], ends[i, a], ends[i, b], c2[i]))
         kept = ~(bound[i, j] * (1.0 + _BOUND_SLACK) < best[i])
         np.maximum.at(best, i[kept], norms(hs[i[kept], j[kept]]))
         return best
@@ -234,23 +231,13 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
 
 
 def _secant_band(hs: np.ndarray, values: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 freqs: np.ndarray, amps: np.ndarray, req: ModulusRequest, norms):
+                 c2: np.ndarray, k: int, norms):
     """The candidates (i, j) of _grid_table's block that its secant stage leaves, with the rows
-    h1 = t - S evaluated into values.  C2 takes the moduli |a_nu| nu^2 (k (k - 1) m^(k-2) +
-    k m^(k-1)), m = min(nu t, 2), each row scaled by a power of two so that no square underflows."""
-    # the t with candidates, ascending (np.bincount: np.unique would import numpy.ma)
-    last, f, c2 = hs.shape[1] - 1, freqs.astype(float), np.zeros(hs.shape[0])
-    rows = np.flatnonzero(np.bincount(i, minlength=hs.shape[0]))
-    t, top, k = hs[rows, last], values[rows, last], req.k
-    m = np.minimum(np.multiply.outer(t, f), 2.0)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # NaN, 0 or inf: off
-        mod = f * f * (k * m ** (k - 1) + (k * (k - 1)) * m ** max(k - 2, 0))
-        s = -np.frexp((mod * np.abs(amps)).max(axis=1))[1]
-        c2[rows] = np.ldexp(_holder_bounds(np.square(np.ldexp(mod, s[:, None])), amps, req.p), -s)
-        steps = np.minimum(np.floor(k * top * last / (t * t * c2[rows])), last // 2)
-    on = (steps >= 2) & (c2[rows] > 0.0) & (top < math.inf) & ~_scaled_rows(t, freqs, amps, req)
-    d = np.zeros(hs.shape[0], int)
-    d[rows[on]] = steps[on]
+    h1 = t - S evaluated into values; c2 is _c2 per t, and a NaN one turns the stage off."""
+    last, t, top = hs.shape[1] - 1, hs[:, -1], values[:, -1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        steps = np.minimum(np.floor(k * top * last / (t * t * c2)), last // 2)
+    d = np.where(steps >= 2, steps, 0).astype(int)
     r = np.flatnonzero(np.bincount(i[band := j > last - d[i]], minlength=hs.shape[0]))
     values[r, last - d[r]] = norms(hs[r, last - d[r]])
     i1, j1 = i[band], last - d[i[band]]
@@ -259,6 +246,21 @@ def _secant_band(hs: np.ndarray, values: np.ndarray, i: np.ndarray, j: np.ndarra
     keep = np.isnan(values[i, j])
     keep[band] &= ~(bound * (1.0 + _BOUND_SLACK) < values[i1, last])
     return i[keep], j[keep]
+
+
+def _c2(t: np.ndarray, ut: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req: ModulusRequest):
+    """C2 >= sup ||d^2/ds^2 Delta_s^k f||_p over 0 <= s <= t for each entry t, whose h = t row has
+    the value ut, from the moduli |a_nu| nu^2 (k (k - 1) m^(k-2) + k m^(k-1)), m = min(nu t, 2),
+    each row scaled by a power of two so that no square underflows.  NaN, which turns the secant
+    bounds off, where C2 or ut is not a positive finite float or _grid_norms scales the h = t row."""
+    f, k = freqs.astype(float), req.k
+    m = np.minimum(np.multiply.outer(t, f), 2.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mod = f * f * (k * m ** (k - 1) + (k * (k - 1)) * m ** max(k - 2, 0))
+        s = -np.frexp((mod * np.abs(amps)).max(axis=1))[1]
+        c2 = np.ldexp(_holder_bounds(np.square(np.ldexp(mod, s[:, None])), amps, req.p), -s)
+    on = (0.0 < c2) & (c2 < math.inf) & (0.0 < ut) & (ut < math.inf)
+    return np.where(on & ~_scaled_rows(t, freqs, amps, req), c2, np.nan)
 
 
 def _secant_bounds(h, h1, t, u1, ut, c2):
@@ -380,41 +382,6 @@ def _scaled_rows(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req: Modul
     e = np.frexp(np.minimum(2.0, freqs[-1] * hs))[1]
     pu = req.p * (math.log2(np.abs(amps).sum()) + req.k * e)
     return (pu < -700.0) | (pu > 900.0)
-
-
-def _difference_bounds(hs: np.ndarray, h0s: np.ndarray, freqs: np.ndarray,
-                       amps: np.ndarray, k: int, p: float, slope: float = math.inf) -> np.ndarray:
-    """Upper bound on the grid L_p norm of Delta_h^k f - Delta_h0^k f, one per pair of
-    shifts (h, h0) in hs and h0s.
-
-    With z = e^{i nu h} - 1 and w = e^{i nu h0} - 1, the coefficient of nu is
-    a_nu (z^k - w^k) = a_nu (z - w) sum_j z^j w^(k-1-j), and |z - w| =
-    |2 sin(nu (h - h0) / 2)|, so its modulus is at most |a_nu| times
-    m_nu = |2 sin(nu (h - h0) / 2)| sum_j |2 sin(nu h / 2)|^j |2 sin(nu h0 / 2)|^(k-1-j).
-    The half angles are the ones the grid rows are built from, so the sine of their
-    difference bounds the rows as evaluated.  The sup cap k 2^(k-1) |h - h0| slope follows
-    from Delta_h^k - Delta_h0^k = sum_i Delta_h^i (Delta_h - Delta_h0) Delta_h0^(k-1-i).
-    The factors of each pair take _tiny_scale(nu_max max(h, h0), k), and its bound undoes it.
-    """
-    s = _tiny_scale(freqs[-1] * np.maximum(hs, h0s), k)
-    half = 0.5 * freqs
-    z = np.multiply.outer(hs, half)
-    w = np.multiply.outer(h0s, half)
-    m = z - w
-    for arg in (m, z, w):
-        np.sin(arg, out=arg)
-        np.abs(arg, out=arg)
-        np.ldexp(arg, 1 + s[:, None], out=arg)
-    # M_1 = m and M_(j+1) = z M_j + m w^j give M_k = m sum_j z^j w^(k-1-j)
-    mw = m.copy()
-    for _ in range(k - 1):
-        mw *= w
-        m *= z
-        m += mw
-    np.multiply(m, m, out=m)
-    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf gives a NaN cap
-        return np.ldexp(_holder_bounds(m, amps, p, sup_cap=np.ldexp(
-            k * np.abs(hs - h0s) * slope, k - 1 + k * s)), -k * s)
 
 
 def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float, l2_rest=0.0, sup_rest=0.0,

@@ -112,6 +112,20 @@ def modulus_grid_full_scan(coeffs, k: int, t: float, p: float, h_samples: int, n
     return best
 
 
+def mp_c2(freqs, amps, k: int, t: float, p: float, dps: int = 30):
+    """The Hoelder bound on the L_p norm of d^2/ds^2 Delta_s^k f, 0 <= s <= t, from the moduli
+    |a_nu| nu^2 (k (k - 1) m^(k-2) + k m^(k-1)), m = min(nu t, 2) with nu t the float product,
+    summed in mpmath at dps digits, so that nothing leaves the float range."""
+    with mpmath.workdps(dps):
+        mods = [abs(mpmath.mpf(float(a))) * int(nu) ** 2
+                * (k * (k - 1) * m ** max(k - 2, 0) + k * m ** (k - 1))
+                for nu, a in zip(freqs, amps) for m in [min(mpmath.mpf(float(nu) * t), 2)]]
+        l2, q = mpmath.sqrt(mpmath.pi * mpmath.fsum(x * x for x in mods)), mpmath.mpf(p)
+        if q <= 2:
+            return (2 * mpmath.pi) ** (1 / q - mpmath.mpf(1) / 2) * l2
+        return l2 ** (2 / q) * mpmath.fsum(mods) ** (1 - 2 / q)
+
+
 def mp_copson_tail_ratio(seq, alpha: float, lam_exp: float, p: float,
                          m: int, n: int, dps: int = 50) -> float:
     """Reverse-Copson tail ratio (p >= 1 clause) recomputed at high precision."""

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -894,18 +895,30 @@ def _shifted_difference(coeffs, n, h, k):
 
 
 @given(coeffs=_signed_support(1, 40), k=st.sampled_from([1, 2, 3]),
-       p=st.sampled_from([1.05, 1.5, 2.0, 3.0, 4.0, 7.0]),
-       h=st.floats(0.0, math.pi), h0=st.floats(0.0, math.pi), oversample=st.sampled_from([1, 2]))
+       p=st.sampled_from([1.05, 1.5, 2.0, 3.0, 4.0, 7.0]), t=st.floats(1e-12, math.pi),
+       block=st.integers(0, 15), offset=st.integers(1, 15), oversample=st.sampled_from([1, 2]))
 @settings(max_examples=60, deadline=None)
-def test_difference_bound_covers_the_row_difference(coeffs, k, p, h, h0, oversample):
+def test_secant_bound_covers_the_rows_between_block_ends(coeffs, k, p, t, block, offset,
+                                                         oversample):
+    # a row strictly inside one 16-shift block of the 257-row grid (its upper end h = t in the
+    # last block), with the ends taken as their values and as their row bounds
     ser = CosineSeries(coeffs)
     n = auto_grid_size(ser, 8) * oversample
     freqs, amps = ser.support()
-    bound = function_model._difference_bounds(np.array([h]), np.array([h0]), freqs, amps, k, p)[0]
-    gap = _shifted_difference(coeffs, n, h, k) - _shifted_difference(coeffs, n, h0, k)
-    # rounding of the 2^k pointwise syntheses, whose cosine arguments reach 5 pi nu_max
+    req = ModulusRequest(k=k, t=t, p=p, h_samples=257)
+    hs = function_model.shift_grid(t, 257)
+    a, j, b = 16 * block, 16 * block + offset, 16 * block + 16
+    value = {c: oracles.brute_lp_norm(_shifted_difference(coeffs, n, hs[c], k), p)
+             for c in (a, j, b, 256)}
+    c2 = function_model._c2(np.array([t]), np.array([value[256]]), freqs, amps, req)[0]
+    assume(not math.isnan(c2))
+    rows = np.append(function_model._row_bounds(hs, freqs, amps, req, 64), value[256])
+    # rounding of the 2^k pointwise syntheses of each row, whose cosine arguments reach
+    # 5 pi nu_max
     slack = 1e-13 * 2.0 ** k * float(np.sum(np.abs(amps))) * freqs[-1]
-    assert oracles.brute_lp_norm(gap, p) <= bound * (1.0 + 1e-12) + slack
+    for ends in ((value[a], value[b]), (rows[a], rows[b])):
+        bound = function_model._secant_bounds(hs[j], hs[a], hs[b], *ends, c2)
+        assert value[j] <= bound * (1.0 + 1e-12) + slack
 
 
 @st.composite
@@ -929,21 +942,6 @@ def test_row_bounds_cover_the_hoelder_bound_of_each_row(case, k, p, h_samples):
     got = function_model._row_bounds(hs, freqs, amps, req, 5)
     want = function_model._holder_bounds(function_model._sin_form_terms(hs[:-1], freqs, k), amps, p)
     assert np.all(got >= want * (1.0 - 1e-12))
-
-
-@given(case=_straddling_case(), p=st.sampled_from([1.5, 2.0, 3.0, 7.0]), block=st.integers(0, 15))
-@settings(max_examples=60, deadline=None)
-def test_row_bound_at_the_offset_covers_the_k1_difference_bound(case, p, block):
-    # every pair of shift rows (j, j0) within one anchor block of the 257-row grid, its
-    # two anchors included
-    coeffs, t = case
-    freqs, amps = CosineSeries(coeffs).support()
-    req = ModulusRequest(k=1, t=t, p=p, h_samples=257)
-    hs = function_model.shift_grid(t, 257)
-    bound = function_model._row_bounds(hs, freqs, amps, req, 64)
-    j, j0 = (a.ravel() for a in np.meshgrid(*2 * [np.arange(16 * block, 16 * block + 17)]))
-    diff = function_model._difference_bounds(hs[j], hs[j0], freqs, amps, 1, p)
-    assert np.all(diff <= bound[np.abs(j - j0)] * (1.0 + 1e-12))
 
 
 class TestBooleanOrder:
@@ -974,8 +972,8 @@ def _evaluated_row(coeffs, n, h, k):
 
 
 class TestSlopeCap:
-    """At p > 2 the grid modulus caps the sup factor of its row bounds by 2^(k-1) h L and
-    of its difference bounds by k 2^(k-1) |h - h0| L, L = _slope_bound >= sup |f'|."""
+    """At p > 2 the grid modulus caps the sup factor of its row bounds by 2^(k-1) h L,
+    L = _slope_bound >= sup |f'|; two rows differ by at most k 2^(k-1) |h - h0| L."""
 
     @given(coeffs=_signed_support(1, 120), oversample=st.sampled_from([1, 2, 4]))
     @settings(max_examples=30, deadline=None)
@@ -997,10 +995,10 @@ class TestSlopeCap:
         assert np.abs(_evaluated_row(coeffs, n, h, k)).max() <= cap
 
     @given(coeffs=_signed_support(1, 40), k=st.sampled_from([1, 2, 3]),
-           p=st.sampled_from([2.5, 3.0, 7.0]), h=st.floats(0.0, math.pi),
-           h0=st.floats(0.0, math.pi), oversample=st.sampled_from([1, 2]))
+           h=st.floats(0.0, math.pi), h0=st.floats(0.0, math.pi),
+           oversample=st.sampled_from([1, 2]))
     @settings(max_examples=30, deadline=None)
-    def test_row_difference_lies_within_the_cap(self, coeffs, k, p, h, h0, oversample):
+    def test_row_difference_lies_within_the_cap(self, coeffs, k, h, h0, oversample):
         ser = CosineSeries(coeffs)
         n = auto_grid_size(ser, 8) * oversample
         freqs, amps = ser.support()
@@ -1009,9 +1007,6 @@ class TestSlopeCap:
         slack = 1e-13 * 2.0 ** k * float(np.sum(np.abs(amps))) * freqs[-1]
         if math.isfinite(slope):  # off near the alias limit
             assert np.abs(gap).max() <= k * 2.0 ** (k - 1) * abs(h - h0) * slope + slack
-        bound = function_model._difference_bounds(np.array([h]), np.array([h0]), freqs, amps,
-                                                  k, p, slope)[0]
-        assert oracles.brute_lp_norm(gap, p) <= bound * (1.0 + 1e-12) + slack
 
     @pytest.mark.parametrize("n", [16, 64, 4096])
     def test_supports_near_the_alias_limit_switch_the_cap_off(self, n):
@@ -1059,6 +1054,18 @@ class TestGridFloatRange:
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+def _c2_with_the_last_row_unscaled(freqs, amps, k, t):
+    """_c2 at t, p = 3, on the amplitudes times the least 2^(8 m), m >= 0, under which the h = t
+    row is not scaled.  With the amplitudes as given that row is scaled here, and _c2 is NaN."""
+    ts, req = np.array([t]), ModulusRequest(k=k, t=t, p=3.0)
+    assert math.isnan(function_model._c2(ts, np.ones(1), freqs, amps, req)[0])
+    amps = next(a for a in (np.ldexp(amps, 8 * m) for m in range(128))
+                if not function_model._scaled_rows(ts, freqs, a, req)[0])
+    spec = np.zeros((1, 4096 // 2 + 1), dtype=complex)
+    return function_model._c2(ts, function_model._grid_norms(ts, freqs, amps, req, 4096, spec),
+                              freqs, amps, req)[0]
+
+
 class TestGridTinyStep:
     """At tiny t the grid bounds scale their sine factors by a power of two, so that their
     powers do not underflow below the rows they bound."""
@@ -1072,14 +1079,12 @@ class TestGridTinyStep:
         def bounds(t):
             req = ModulusRequest(k=k, t=t, p=3.0)
             hs = function_model.shift_grid(t, 257)
-            rows = function_model._row_bounds(hs, freqs, amps, req, 512, slope)[1:]
-            diffs = function_model._difference_bounds(hs[1:17], hs[:16], freqs, amps, k, 3.0,
-                                                      slope)
-            return np.concatenate((rows, diffs))
+            return function_model._row_bounds(hs, freqs, amps, req, 512, slope)[1:]
 
         small, large = bounds(t), bounds(1e10 * t)
         assert np.all(small > 0.0)
         np.testing.assert_allclose(large, small * 1e10 ** k, rtol=1e-12, atol=0.0)
+        assert 0.0 < _c2_with_the_last_row_unscaled(freqs, amps, k, t) < math.inf
 
     @pytest.mark.parametrize("k, t", [(2, 1e-100), (3, 1e-70)])
     def test_value_matches_full_scan(self, k, t):
@@ -1130,20 +1135,18 @@ class TestHighOrderUnderflow:
             req = ModulusRequest(k=k, t=t, p=3.0)
             hs = function_model.shift_grid(t, 257)
             rows = function_model._row_bounds(hs, freqs, amps, req, 512, slope)
-            diffs = function_model._difference_bounds(hs[129:145], hs[128:144], freqs, amps, k,
-                                                      3.0, slope)
             spec = np.zeros((hs.size, 4096 // 2 + 1), dtype=complex)
-            return rows, diffs, function_model._grid_norms(hs, freqs, amps, req, 4096, spec)
+            return rows, function_model._grid_norms(hs, freqs, amps, req, 4096, spec)
 
-        rows, diffs, values = bounds(x / 256)
+        rows, values = bounds(x / 256)
         assert np.all(rows >= values[:-1])
         # rows 0 to 16 lie below the float range, at k = 100
-        assert np.all(rows[values[:-1] > 0.0] > 0.0) and np.all(diffs > 0.0)
-        half = np.concatenate(bounds(x / 512)[:2])
+        assert np.all(rows[values[:-1] > 0.0] > 0.0)
+        assert 0.0 < _c2_with_the_last_row_unscaled(freqs, amps, k, x / 256) < math.inf
+        half = bounds(x / 512)[0]
         normal = half >= 2.0**-1022
         # 2 sin(y / 2) / y = 1 - y^2 / 24 + ..., y <= x, to the power 2k: within 1e-3
-        np.testing.assert_allclose(np.concatenate((rows, diffs))[normal],
-                                   np.ldexp(half[normal], k), rtol=1e-3, atol=0.0)
+        np.testing.assert_allclose(rows[normal], np.ldexp(half[normal], k), rtol=1e-3, atol=0.0)
         assert modulus(ser, ModulusRequest(k=k, t=x / 256, p=3.0), 4096) == pytest.approx(
             oracles.modulus_grid_full_scan(ser.coeffs, k, x / 256, 3.0, 257, 4096),
             rel=1e-12, abs=0.0)
@@ -1293,6 +1296,38 @@ class TestSecantBand:
             spec = np.zeros((1, n // 2 + 1), dtype=complex)
             value = function_model._grid_norms(np.array([h]), freqs, amps, req, n, spec)[0]
             assert value <= bound * (1.0 + function_model._BOUND_SLACK)
+
+    @given(coeffs=_signed_support(1, 40), m=st.integers(-300, 300),
+           k=st.sampled_from([1, 2, 3, 60]), t=st.floats(1e-300, math.pi),
+           p=st.sampled_from([1.5, 3.0, 7.0]),
+           ut=st.sampled_from([0.0, 1e-300, 1.0, 1e300, math.inf, math.nan]))
+    @settings(max_examples=100, deadline=None)
+    def test_c2_is_nan_exactly_where_the_stage_is_off(self, coeffs, m, k, t, p, ut):
+        # off where C2 or u(t) is not a positive finite float or the h = t row is scaled;
+        # fewer than 2 shifts of S is _secant_band's own test
+        freqs, amps = CosineSeries(coeffs).support()
+        amps, ts, req = np.ldexp(amps, m), np.array([t]), ModulusRequest(k=k, t=t, p=p)
+        got = function_model._c2(ts, np.array([ut]), freqs, amps, req)[0]
+        want = oracles.mp_c2(freqs, amps, k, t, p)
+        e = float(mpmath.log(want, 2))
+        assume(not (-1100 < e < -1000 or 1000 < e < 1100))  # where C2's rounding decides
+        on = (0.0 < ut < math.inf and -1000 <= e <= 1000
+              and not function_model._scaled_rows(ts, freqs, amps, req)[0])
+        assert math.isnan(got) != on
+        if on:
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+    def test_table_with_scaled_last_rows_is_the_full_scan(self):
+        # amplitudes up to 2^254, which _amp_scale keeps, put p u past 900 on every h = t row
+        # at p = 4: _c2 is NaN there, and neither secant bound applies
+        ser = CosineSeries(np.ldexp(power_law_series(2.0, 64).coeffs, 254))
+        freqs, amps = ser.support()
+        nus = np.arange(1, 41)
+        req = ModulusRequest(k=2, t=1.0, p=4.0, h_samples=33)
+        assert function_model._scaled_rows(1.0 / nus, freqs, amps, req).all()
+        got = ModulusTable(ser, 2, 4.0, h_samples=33).omega_upto(40)
+        assert got.tolist() == [oracles.modulus_grid_full_scan(ser.coeffs, 2, 1.0 / nu, 4.0, 33,
+                                                               4096) for nu in nus]
 
     @pytest.mark.parametrize("k, p, rows", [(1, 3.0, 530), (2, 4.0, 600), (3, 3.0, 1060)])
     def test_power_law_tables_evaluate_few_rows(self, irfft_rows, k, p, rows):
