@@ -156,8 +156,9 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
 
     Only h >= 0 is scanned; the norm of the k-th difference is even in h.  The sup is
     certified rather than scanned, by the one-t call of the table kernel _grid_table: rows are
-    pruned by coefficient bounds and by the secant of two rows h_a < h_b plus
-    (h - h_a) (h_b - h) C2 / 2, at p != 2 near h = t and, at any p, between anchors."""
+    pruned by sine-free coefficient bounds, by the secant of two rows h_a < h_b plus
+    (h - h_a) (h_b - h) C2 / 2, at p != 2 near h = t and, at any p, between anchors, and, right
+    before their FFT, by the bounds of their own sines."""
     return 0.0 if req.t == 0.0 else float(_grid_table(series, req, np.array([req.t]), n)[0])
 
 
@@ -175,17 +176,18 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
     ((h - h_a) (h_b - h) / 2 + 2^-52 h_b) C2 (_secant_bounds), U bounding their values: the
     linear interpolation error of a C^2 curve in any norm, plus 2^-53 h_b C2 per row for its
     float angles nu h (within 2^-53 nu h_b; C2's moduli hold k nu m^(k-1)), so the slack covers
-    only the rows' relative rounding.  At p != 2 (at p = 2 every candidate ties u(t), the h = t
-    value) _secant_band evaluates one more row h1 = t - S, S = k u(t) / (t C2) in 2 to
-    (h_samples - 1) / 2 whole shifts, and clears each candidate h1 < h < t whose secant bound
-    from h1 and t, times 1 + _BOUND_SLACK, is below u(t).
-    Candidates at a multiple of _ANCHOR_STEP shifts are evaluated next, as anchors.  Every
-    other candidate is also bounded by the secant of the two ends of its block, each an
-    anchor's value, or its row bound where it was not evaluated, or u(t) at h = t.  Only
-    candidates whose smallest bound reaches the best value so far are evaluated; the rest are
-    provably lower.  At p > 2 the sup factors are capped from L >= sup |f'| (_slope_bound).
-    Amplitudes past 2^+-256 are scaled by a power of two, exactly (_amp_scale), and the values
-    are scaled back."""
+    only the rows' relative rounding.  At p != 2 (at p = 2 the gate below leaves only rows that
+    tie u(t), the h = t value) _secant_band evaluates one more row h1 = t - S, S = k u(t) / (t C2)
+    in 2 to (h_samples - 1) / 2 whole shifts, and clears each candidate h1 < h < t whose secant
+    bound from h1 and t, times 1 + _BOUND_SLACK, is below u(t).  Candidates at a multiple of
+    _ANCHOR_STEP shifts are anchors; each other one is also bounded by the secant of its block's
+    ends, each an anchor's value, or its bound where not evaluated, or u(t) at h = t, and is left
+    where that reaches the best value so far.  A row takes its sines right before its FFT, at one
+    gate (the anchors against u(t), the rest against that best value): its own bound
+    (_own_bounds) replaces its bound where smaller, and only the rows still reaching the floor
+    are evaluated; the rest are provably lower.  At p > 2 the sup factors are capped from
+    L >= sup |f'| (_slope_bound).  Amplitudes past 2^+-256 are scaled by a power of two, exactly
+    (_amp_scale), and the values are scaled back."""
     _check_grid(series, n)
     freqs, amps = series.support()
     if freqs.size == 0:
@@ -203,16 +205,24 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
         # NaN marks a row that is not evaluated
         values = np.full(hs.shape, np.nan)
         values[:, last] = norms(ts)
-        bound = _row_bounds(hs, freqs, amps, req, _BLOCK_ENTRIES, slope, values[:, last:])
+        bound = _row_bounds(hs, freqs, amps, req, _BLOCK_ENTRIES, slope)
         # a NaN or inf bound keeps its row
         i, j = np.nonzero(~(bound * (1.0 + _BOUND_SLACK) < values[:, last:]))
         # C2 for the t with candidates (np.bincount: np.unique would import numpy.ma)
         c2, rows = np.full(ts.size, np.nan), np.flatnonzero(np.bincount(i, minlength=ts.size))
         c2[rows] = _c2(ts[rows], values[rows, last], freqs, amps, req)
-        if req.p != 2.0 and i.size:  # at p = 2 every candidate ties the h = t row
+        if req.p != 2.0 and i.size:  # at p = 2 the gate leaves only rows tying u(t)
             i, j = _secant_band(hs, values, i, j, c2, req.k, norms)
+
+        def gate(i, j, floor):  # the rows (i, j) whose own bound, taken into bound, reaches floor
+            own = _in_batches(lambda h, t: _own_bounds(h, t, freqs, amps, req, slope),
+                              max(1, _BLOCK_ENTRIES // freqs.size), hs[i, j], ts[i])
+            bound[i, j] = np.fmin(bound[i, j], own)  # fmin ignores a NaN bound
+            return i[keep := ~(bound[i, j] * (1.0 + _BOUND_SLACK) < floor)], j[keep]
+
         at = j % _ANCHOR_STEP == 0
-        values[i[at], j[at]] = norms(hs[i[at], j[at]])
+        ia, ja = gate(i[at], j[at], values[i[at], last])
+        values[ia, ja] = norms(hs[ia, ja])
         best = np.nanmax(values, axis=1)
         i, j = i[~at], j[~at]
         # the block ends: an evaluated row's value, else its row bound
@@ -222,7 +232,8 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
         bound[i, j] = np.fmin(bound[i, j], _secant_bounds(  # fmin keeps a NaN C2's row bound
             hs[i, j], hs[i, a], hs[i, b], ends[i, a], ends[i, b], c2[i]))
         kept = ~(bound[i, j] * (1.0 + _BOUND_SLACK) < best[i])
-        np.maximum.at(best, i[kept], norms(hs[i[kept], j[kept]]))
+        i, j = gate(i[kept], j[kept], best[i[kept]])
+        np.maximum.at(best, i, norms(hs[i, j]))
         return best
 
     with np.errstate(over="ignore"):  # past the float range: inf
@@ -258,7 +269,8 @@ def _c2(t: np.ndarray, ut: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mod = f * f * (k * m ** (k - 1) + (k * (k - 1)) * m ** max(k - 2, 0))
         s = -np.frexp((mod * np.abs(amps)).max(axis=1))[1]
-        c2 = np.ldexp(_holder_bounds(np.square(np.ldexp(mod, s[:, None])), amps, req.p), -s)
+        sq = np.square(np.ldexp(mod, s[:, None]))
+        c2 = np.ldexp(_holder_bounds(sq @ (amps * amps), np.sqrt(sq) @ np.abs(amps), req.p), -s)
     on = (0.0 < c2) & (c2 < math.inf) & (0.0 < ut) & (ut < math.inf)
     return np.where(on & ~_scaled_rows(t, freqs, amps, req), c2, np.nan)
 
@@ -287,12 +299,11 @@ def _tiny_scale(x, k: int):
 
 
 def _row_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req: ModulusRequest,
-                h_chunk: int, slope: float = math.inf, floor=math.inf) -> np.ndarray:
+                h_chunk: int, slope: float = math.inf) -> np.ndarray:
     """_holder_bounds of the rows hs[..., :-1] of shift_grid(t, req.h_samples), one grid or
-    one per row of a 2-D hs, with m_nu = |2 sin(nu h / 2)|^k and sup caps 2^(k-1) h slope.
-    Where nu t <= pi, m_nu <= rho^k m_nu(t) as in _p2_table; above, _high_band bounds the
-    sums, h_chunk rows a batch, and rows whose bound, times 1 + _BOUND_SLACK, reaches floor
-    (one per grid) take their own m_nu there, h_chunk entries a batch.  Each grid's factors
+    one per row of a 2-D hs, with m_nu = |2 sin(nu h / 2)|^k and sup caps 2^(k-1) h slope, from
+    no sines but those of the h = t row.  Where nu t <= pi, m_nu <= rho^k m_nu(t) as in
+    _p2_table; above, _high_band bounds the sums, h_chunk rows a batch.  Each grid's factors
     take _tiny_scale(nu_max t, k), and its bounds undo it; its high band is then empty."""
     grids = np.atleast_2d(hs)
     k, f, t, rows = req.k, freqs.astype(float), grids[:, -1], grids[:, :-1]
@@ -311,19 +322,21 @@ def _row_bounds(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req: Modulu
         caps = np.ldexp(rows * slope, (k - 1 + k * s)[:, None])
         low = np.broadcast_to(ends[:, -1:], l2.shape)
         high_l2, high_sup = _high_band(f, w, 2 * k), _high_band(f, a, k)
-        bound = _in_batches(lambda h, low, l2, sup, cap: _holder_bounds(  # no sq of its own
-            np.zeros((h.size, 0)), amps[:0], req.p, l2 + high_l2(h, low), sup + high_sup(h, low),
-            cap), h_chunk, *(x.ravel() for x in (rows, low, l2, sup, caps))).reshape(l2.shape)
-
-        def exact(i, j):  # the high band's own m_nu
-            sq = _sin_form_terms(rows[i, j], freqs, k)
-            sq[np.arange(f.size) < low[i, j][:, None]] = 0.0
-            return _holder_bounds(sq, amps, req.p, l2[i, j], sup[i, j], caps[i, j])
-
-        i, j = np.nonzero(~(bound * (1.0 + _BOUND_SLACK) < floor) & (low < f.size))
-        bound[i, j] = _in_batches(exact, max(1, h_chunk // f.size), i, j)
-        bound = np.ldexp(bound, -k * s[:, None])
+        bound = np.ldexp(_in_batches(lambda h, low, l2, sup, cap: _holder_bounds(
+            l2 + high_l2(h, low), sup + high_sup(h, low), req.p, cap), h_chunk,
+            *(x.ravel() for x in (rows, low, l2, sup, caps))).reshape(l2.shape), -k * s[:, None])
     return bound if hs.ndim > 1 else bound[0]
+
+
+def _own_bounds(h, t, freqs, amps, req: ModulusRequest, slope: float) -> np.ndarray:
+    """_holder_bounds of the rows h from their own moduli m_nu = |2 sin(nu h / 2)|^k and sup caps
+    2^(k-1) h slope, each scaled as in _row_bounds by the _tiny_scale of its grid's t, its entry
+    of t; at p = 2 each is the row's Parseval value."""
+    k, s = req.k, _tiny_scale(freqs[-1] * t, req.k)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
+        l2 = (sq := _sin_form_terms(h, freqs, k, s[:, None])) @ (amps * amps)
+        return np.ldexp(_holder_bounds(l2, np.sqrt(sq, out=sq) @ np.abs(amps), req.p,
+                                       np.ldexp(h * slope, k - 1 + k * s)), -k * s)
 
 
 def _high_band(f: np.ndarray, c: np.ndarray, j: int):
@@ -384,26 +397,19 @@ def _scaled_rows(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req: Modul
     return (pu < -700.0) | (pu > 900.0)
 
 
-def _holder_bounds(sq: np.ndarray, amps: np.ndarray, p: float, l2_rest=0.0, sup_rest=0.0,
-                   sup_cap=math.inf) -> np.ndarray:
-    """Upper bound on the grid L_p norm of each real trigonometric polynomial whose
-    coefficient of nu has modulus at most |a_nu| m_nu, from sq = m_nu^2 (one row per
-    polynomial, overwritten), plus l2_rest and sup_rest, per-row bounds on the two
-    sums below over the frequencies that sq leaves out, and sup_cap, per-row caps on
-    ||g||_inf that replace the sup sum where smaller (a NaN cap is none).
-
-    The grid holds every harmonic alias-free, so Parseval gives the grid L_2 norm
-    exactly, ||g||_2 <= sqrt(pi sum a_nu^2 m_nu^2), and ||g||_inf <= sum |a_nu| m_nu.
-    Discrete Hoelder on total measure 2 pi then gives
-    ||g||_p <= ||g||_2^(2/p) ||g||_inf^(1 - 2/p) for p >= 2 and
-    ||g||_p <= (2 pi)^(1/p - 1/2) ||g||_2 for p <= 2; at p = 2 the bound is the grid
-    value itself when m_nu is the exact modulus, up to rounding.
-    """
-    l2 = np.sqrt(math.pi * (sq @ (amps * amps) + l2_rest))
+def _holder_bounds(l2_sq, sup, p: float, sup_cap=math.inf):
+    """Upper bound on the grid L_p norm of each real trigonometric polynomial whose coefficient
+    of nu has modulus at most |a_nu| m_nu, from its sums l2_sq >= sum a_nu^2 m_nu^2 and sup >=
+    sum |a_nu| m_nu, one entry per polynomial, and sup_cap, caps on ||g||_inf that replace sup
+    where smaller (a NaN cap is none).  The grid holds every harmonic alias-free, so Parseval
+    gives the grid L_2 norm exactly, ||g||_2 <= sqrt(pi l2_sq), and ||g||_inf <= sup.  Discrete
+    Hoelder on total measure 2 pi then gives ||g||_p <= ||g||_2^(2/p) ||g||_inf^(1 - 2/p) for
+    p >= 2 and ||g||_p <= (2 pi)^(1/p - 1/2) ||g||_2 for p <= 2; at p = 2 the bound is the grid
+    value itself when m_nu is the exact modulus, up to rounding."""
+    l2 = np.sqrt(math.pi * l2_sq)
     if p <= 2.0:
         return TWO_PI ** (1.0 / p - 0.5) * l2
-    np.sqrt(sq, out=sq)
-    return l2 ** (2.0 / p) * np.fmin(sq @ np.abs(amps) + sup_rest, sup_cap) ** (1.0 - 2.0 / p)
+    return l2 ** (2.0 / p) * np.fmin(sup, sup_cap) ** (1.0 - 2.0 / p)
 
 
 # one entry, since every caller holds the series and the grid fixed over a table

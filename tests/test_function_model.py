@@ -931,6 +931,12 @@ def _straddling_case(draw):
     return coeffs, math.pi / (freqs[0] + u * (freqs[-1] - freqs[0]))
 
 
+def _own_moduli_bounds(hs, freqs, amps, k, p):
+    """_holder_bounds of the rows hs from their own moduli |2 sin(nu h / 2)|^k, unscaled."""
+    sq = function_model._sin_form_terms(hs, freqs, k)
+    return function_model._holder_bounds(sq @ (amps * amps), np.sqrt(sq) @ np.abs(amps), p)
+
+
 @given(case=_straddling_case(), k=st.sampled_from([1, 2, 3]),
        p=st.sampled_from([1.5, 2.0, 3.0, 7.0]), h_samples=st.sampled_from([16, 17, 257]))
 @settings(max_examples=60, deadline=None)
@@ -940,8 +946,7 @@ def test_row_bounds_cover_the_hoelder_bound_of_each_row(case, k, p, h_samples):
     req = ModulusRequest(k=k, t=t, p=p, h_samples=h_samples)
     hs = function_model.shift_grid(t, h_samples)
     got = function_model._row_bounds(hs, freqs, amps, req, 5)
-    want = function_model._holder_bounds(function_model._sin_form_terms(hs[:-1], freqs, k), amps, p)
-    assert np.all(got >= want * (1.0 - 1e-12))
+    assert np.all(got >= _own_moduli_bounds(hs[:-1], freqs, amps, k, p) * (1.0 - 1e-12))
 
 
 class TestBooleanOrder:
@@ -1164,8 +1169,8 @@ def _straddling_block(draw):
 
 class TestGridTable:
     """The grid omega table fills its missing nu in blocks through _grid_table, whose
-    one-t call is modulus; the high band of its row bounds takes no sines until a row
-    reaches the value of its h = t row."""
+    one-t call is modulus; its row bounds take no sines but the h = t row's, and a row takes
+    its own (_own_bounds) only right before its FFT."""
 
     @given(coeffs=_signed_support(1, 400), k=st.sampled_from([1, 2, 3]),
            p=st.sampled_from([1.5, 3.0, 4.0]), h_samples=st.sampled_from([17, 257]),
@@ -1191,18 +1196,23 @@ class TestGridTable:
     @settings(max_examples=60, deadline=None)
     def test_sine_free_high_band_covers_the_hoelder_bound_of_each_row(self, case, k, p, h_samples):
         coeffs, ts = case
-        freqs, amps = CosineSeries(coeffs).support()
+        ser = CosineSeries(coeffs)
+        freqs, amps = ser.support()
+        n = auto_grid_size(ser, 8)
         req = ModulusRequest(k=k, t=float(ts[0]), p=p, h_samples=h_samples)
         hs = function_model.shift_grid(ts, h_samples)
         free = function_model._row_bounds(hs, freqs, amps, req, 5)
-        # a floor of 0 gives every row with a high band its sines there
-        exact = function_model._row_bounds(hs, freqs, amps, req, 5, floor=0.0)
-        for row, free_row, exact_row in zip(hs, free, exact):
-            want = function_model._holder_bounds(
-                function_model._sin_form_terms(row[:-1], freqs, k), amps, p)
+        for row, free_row in zip(hs, free):
+            want = _own_moduli_bounds(row[:-1], freqs, amps, k, p)
             assert np.all(free_row >= want * (1.0 - 1e-12))
-            assert np.all(exact_row >= want * (1.0 - 1e-12))
-            assert np.all(exact_row <= free_row * (1.0 + 1e-12))
+        # the gate's bound, from each row's own sines, covers the row's grid value and
+        # lies below the sine-free one
+        rows, t = hs[:, :-1].ravel(), np.repeat(ts, h_samples - 1)
+        own = function_model._own_bounds(rows, t, freqs, amps, req, math.inf)
+        spec = np.zeros((rows.size, n // 2 + 1), dtype=complex)
+        values = function_model._grid_norms(rows, freqs, amps, req, n, spec)
+        assert np.all(values <= own * (1.0 + function_model._BOUND_SLACK))
+        assert np.all(own <= free.ravel() * (1.0 + 1e-12))
 
     def test_power_law_table_at_p3_evaluates_no_more_rows(self, irfft_rows):
         # 1,291 grid rows, the h = t rows included, and one irfft for the slope bound:
@@ -1331,7 +1341,13 @@ class TestSecantBand:
 
     @pytest.mark.parametrize("k, p, rows", [(1, 3.0, 530), (2, 4.0, 600), (3, 3.0, 1060)])
     def test_power_law_tables_evaluate_few_rows(self, irfft_rows, k, p, rows):
-        # 521, 589 and 1,049 grid rows, the h = t rows included (1,291, 3,320 and 3,879
+        # 523, 586 and 843 grid rows, the h = t rows included (1,291, 3,320 and 3,879
         # without the stage), and one irfft for the slope bound
         ModulusTable(power_law_series(2.0, 256), k, p).omega_upto(256)
         assert sum(irfft_rows) <= rows + 1
+
+    def test_rough_k1_table_evaluates_few_rows(self, irfft_rows):
+        # a rough series at k = 1, where C2 step^2 exceeds the values at small nu: 1,354 grid
+        # rows and one irfft for the slope bound
+        ModulusTable(power_law_series(1.5, 2048), 1, 3.0).omega_upto(64)
+        assert sum(irfft_rows) <= 1366
