@@ -47,8 +47,8 @@ MAX_H_SAMPLES = DENSE_LIMIT // _RATIO_BUCKETS + 1
 #: relative slack on the row bounds of both moduli, so rounding cannot prune a row
 #: that ties the best row evaluated so far
 _BOUND_SLACK = 1e-9
-#: the grid modulus evaluates the candidate rows at multiples of this many shifts first
-#: and bounds each candidate between two of them by their secant (_secant_bounds)
+#: the grid modulus evaluates the candidate rows at multiples of this many shifts below its
+#: top anchor first and bounds each candidate between two of them by their secant (_secant_bounds)
 _ANCHOR_STEP = 16
 
 
@@ -156,9 +156,9 @@ def modulus(series: CosineSeries, req: ModulusRequest, n: int = DEFAULT_GRID_N) 
 
     Only h >= 0 is scanned; the norm of the k-th difference is even in h.  The sup is
     certified rather than scanned, by the one-t call of the table kernel _grid_table: rows are
-    pruned by sine-free coefficient bounds, by the secant of two rows h_a < h_b plus
-    (h - h_a) (h_b - h) C2 / 2, at p != 2 near h = t and, at any p, between anchors, and, right
-    before their FFT, by the bounds of their own sines."""
+    pruned by sine-free coefficient bounds, by the secant of their neighbouring anchors h_a < h_b
+    plus (h - h_a) (h_b - h) C2 / 2, the top anchor t - S at p != 2, and, right before their
+    FFT, by the bounds of their own sines."""
     return 0.0 if req.t == 0.0 else float(_grid_table(series, req, np.array([req.t]), n)[0])
 
 
@@ -176,18 +176,18 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
     ((h - h_a) (h_b - h) / 2 + 2^-52 h_b) C2 (_secant_bounds), U bounding their values: the
     linear interpolation error of a C^2 curve in any norm, plus 2^-53 h_b C2 per row for its
     float angles nu h (within 2^-53 nu h_b; C2's moduli hold k nu m^(k-1)), so the slack covers
-    only the rows' relative rounding.  At p != 2 (at p = 2 the gate below leaves only rows that
-    tie u(t), the h = t value) _secant_band evaluates one more row h1 = t - S, S = k u(t) / (t C2)
-    in 2 to (h_samples - 1) / 2 whole shifts, and clears each candidate h1 < h < t whose secant
-    bound from h1 and t, times 1 + _BOUND_SLACK, is below u(t).  Candidates at a multiple of
-    _ANCHOR_STEP shifts are anchors; each other one is also bounded by the secant of its block's
-    ends, each an anchor's value, or its bound where not evaluated, or u(t) at h = t, and is left
-    where that reaches the best value so far.  A row takes its sines right before its FFT, at one
-    gate (the anchors against u(t), the rest against that best value): its own bound
-    (_own_bounds) replaces its bound where smaller, and only the rows still reaching the floor
-    are evaluated; the rest are provably lower.  At p > 2 the sup factors are capped from
-    L >= sup |f'| (_slope_bound).  Amplitudes past 2^+-256 are scaled by a power of two, exactly
-    (_amp_scale), and the values are scaled back."""
+    only the rows' relative rounding.  The top anchor h1 = t - S, S = k u(t) / (t C2) in 2 to
+    (h_samples - 1) / 2 whole shifts at p != 2 (at p = 2 the gate below leaves only rows that tie
+    u(t)), else h1 = t, is evaluated for each t with a candidate above it.  The other anchors are
+    the candidates at multiples of _ANCHOR_STEP shifts below h1, and h1 where not evaluated; each
+    other candidate is also bounded by the secant of its neighbouring ends, h1 and t above h1,
+    else its block's ends up to h1, each an evaluated row's value, or its bound, or u(t) at
+    h = t, and is left where that reaches the best value so far.  A row takes its sines right
+    before its FFT, at one gate (the anchors against u(t), the rest against that best value):
+    its own bound (_own_bounds) replaces its bound where smaller, and only the rows still
+    reaching the floor are evaluated; the rest are provably lower.  At p > 2 the sup factors are
+    capped from L >= sup |f'| (_slope_bound).  Amplitudes past 2^+-256 are scaled by a power of
+    two, exactly (_amp_scale), and the values are scaled back."""
     _check_grid(series, n)
     freqs, amps = series.support()
     if freqs.size == 0:
@@ -211,8 +211,12 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
         # C2 for the t with candidates (np.bincount: np.unique would import numpy.ma)
         c2, rows = np.full(ts.size, np.nan), np.flatnonzero(np.bincount(i, minlength=ts.size))
         c2[rows] = _c2(ts[rows], values[rows, last], freqs, amps, req)
-        if req.p != 2.0 and i.size:  # at p = 2 the gate leaves only rows tying u(t)
-            i, j = _secant_band(hs, values, i, j, c2, req.k, norms)
+        # the top anchor h1 = t - S, or t where S is off (under 2 shifts, p = 2 or a NaN C2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            steps = np.minimum(np.floor(req.k * values[:, last] * last / (ts * ts * c2)), last // 2)
+        top = last - np.where((steps >= 2) & (req.p != 2.0), steps, 0).astype(int)
+        r = np.flatnonzero(np.bincount(i[j > top[i]], minlength=ts.size))
+        values[r, top[r]] = norms(hs[r, top[r]])
 
         def gate(i, j, floor):  # the rows (i, j) whose own bound, taken into bound, reaches floor
             own = _in_batches(lambda h, t: _own_bounds(h, t, freqs, amps, req, slope),
@@ -220,15 +224,16 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
             bound[i, j] = np.fmin(bound[i, j], own)  # fmin ignores a NaN bound
             return i[keep := ~(bound[i, j] * (1.0 + _BOUND_SLACK) < floor)], j[keep]
 
-        at = j % _ANCHOR_STEP == 0
+        i, j = i[left := np.isnan(values[i, j])], j[left]
+        at = (j == top[i]) | ((j % _ANCHOR_STEP == 0) & (j < top[i]))
         ia, ja = gate(i[at], j[at], values[i[at], last])
         values[ia, ja] = norms(hs[ia, ja])
         best = np.nanmax(values, axis=1)
         i, j = i[~at], j[~at]
-        # the block ends: an evaluated row's value, else its row bound
+        # the secant ends: an evaluated row's value, else its row bound
         ends = np.where(np.isnan(values), np.hstack((bound, values[:, last:])), values)
-        a = j - j % _ANCHOR_STEP
-        b = np.minimum(a + _ANCHOR_STEP, last)
+        a = np.where(above := j > top[i], top[i], j - j % _ANCHOR_STEP)
+        b = np.where(above, last, np.minimum(a + _ANCHOR_STEP, top[i]))
         bound[i, j] = np.fmin(bound[i, j], _secant_bounds(  # fmin keeps a NaN C2's row bound
             hs[i, j], hs[i, a], hs[i, b], ends[i, a], ends[i, b], c2[i]))
         kept = ~(bound[i, j] * (1.0 + _BOUND_SLACK) < best[i])
@@ -241,29 +246,12 @@ def _grid_table(series: CosineSeries, req: ModulusRequest, ts: np.ndarray, n: in
             block, max(1, _BLOCK_ENTRIES // max(freqs.size, req.h_samples)), ts), -scale)
 
 
-def _secant_band(hs: np.ndarray, values: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 c2: np.ndarray, k: int, norms):
-    """The candidates (i, j) of _grid_table's block that its secant stage leaves, with the rows
-    h1 = t - S evaluated into values; c2 is _c2 per t, and a NaN one turns the stage off."""
-    last, t, top = hs.shape[1] - 1, hs[:, -1], values[:, -1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        steps = np.minimum(np.floor(k * top * last / (t * t * c2)), last // 2)
-    d = np.where(steps >= 2, steps, 0).astype(int)
-    r = np.flatnonzero(np.bincount(i[band := j > last - d[i]], minlength=hs.shape[0]))
-    values[r, last - d[r]] = norms(hs[r, last - d[r]])
-    i1, j1 = i[band], last - d[i[band]]
-    bound = _secant_bounds(hs[i1, j[band]], hs[i1, j1], hs[i1, last], values[i1, j1],
-                           values[i1, last], c2[i1])
-    keep = np.isnan(values[i, j])
-    keep[band] &= ~(bound * (1.0 + _BOUND_SLACK) < values[i1, last])
-    return i[keep], j[keep]
-
-
 def _c2(t: np.ndarray, ut: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req: ModulusRequest):
     """C2 >= sup ||d^2/ds^2 Delta_s^k f||_p over 0 <= s <= t for each entry t, whose h = t row has
     the value ut, from the moduli |a_nu| nu^2 (k (k - 1) m^(k-2) + k m^(k-1)), m = min(nu t, 2),
-    each row scaled by a power of two so that no square underflows.  NaN, which turns the secant
-    bounds off, where C2 or ut is not a positive finite float or _grid_norms scales the h = t row."""
+    each row scaled by a power of two so that no square underflows.  NaN, which turns the top
+    anchor and the secant bounds off, where C2 or ut is not a positive finite float or _grid_norms
+    scales the h = t row."""
     f, k = freqs.astype(float), req.k
     m = np.minimum(np.multiply.outer(t, f), 2.0)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -275,11 +263,12 @@ def _c2(t: np.ndarray, ut: np.ndarray, freqs: np.ndarray, amps: np.ndarray, req:
     return np.where(on & ~_scaled_rows(t, freqs, amps, req), c2, np.nan)
 
 
-def _secant_bounds(h, h1, t, u1, ut, c2):
-    """((t - h) u1 + (h - h1) ut) / (t - h1) + ((h - h1) (t - h) / 2 + 2^-52 t) c2, per row h."""
+def _secant_bounds(h, ha, hb, ua, ub, c2):
+    """((hb - h) ua + (h - ha) ub) / (hb - ha) + ((h - ha) (hb - h) / 2 + 2^-52 hb) c2, per row h
+    between the ends ha < hb, which bound their rows' values by ua and ub."""
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN bound keeps its row
-        return (((t - h) * u1 + (h - h1) * ut) / (t - h1)
-                + ((h - h1) * (t - h) / 2 + 2.0**-52 * t) * c2)
+        return (((hb - h) * ua + (h - ha) * ub) / (hb - ha)
+                + ((h - ha) * (hb - h) / 2 + 2.0**-52 * hb) * c2)
 
 
 def _in_batches(fn, h_chunk: int, *rows: np.ndarray) -> np.ndarray:

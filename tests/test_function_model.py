@@ -1215,10 +1215,9 @@ class TestGridTable:
         assert np.all(own <= free.ravel() * (1.0 + 1e-12))
 
     def test_power_law_table_at_p3_evaluates_no_more_rows(self, irfft_rows):
-        # 1,291 grid rows, the h = t rows included, and one irfft for the slope bound:
-        # as many as one modulus call per nu evaluates
+        # 519 grid rows, the h = t rows included, and one irfft for the slope bound
         ModulusTable(power_law_series(2.0, 256), 1, 3.0).omega_upto(256)
-        assert sum(irfft_rows) <= 1292
+        assert sum(irfft_rows) <= 520
 
     def test_power_law_table_at_p3_peak_memory(self):
         # batches of 2**20 // n rows, each with a fresh spectrum, peaked at 9.6 MiB
@@ -1261,9 +1260,10 @@ class TestGridTable:
 
 
 class TestSecantBand:
-    """At p != 2 the grid table bounds the candidate rows h0 < h < t by the secant of the
-    evaluated rows h0 = t - D and t plus a curvature term; it clears only rows below the
-    h = t row, so the table keeps its bits, and it clears most rows near t on power laws."""
+    """The grid table bounds each candidate row by the secant of its two neighbouring anchors
+    plus a curvature term; at p != 2 the row h1 = t - S is the top anchor, evaluated, and the
+    rows h1 < h < t take the secant of h1 and t.  It clears only rows below the best row, so
+    the table keeps its bits, and it clears most rows near t on power laws."""
 
     @given(coeffs=_signed_support(1, 400), k=st.sampled_from([1, 2, 3]),
            p=st.sampled_from([1.5, 3.0, 4.0]), h_samples=st.sampled_from([17, 257]),
@@ -1272,12 +1272,13 @@ class TestSecantBand:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_table_is_the_table_without_the_stage(self, monkeypatch, coeffs, k, p, h_samples,
                                                   extra):
-        # nu_max lies past max_freq / pi, where the sup moves to h = t
+        # nu_max lies past max_freq / pi, where the sup moves to h = t; a NaN C2 turns off the
+        # top anchor and every secant bound, so the row bounds and the gate alone are left
         ser = CosineSeries(coeffs)
         nu_max = int(ser.max_freq / math.pi) + extra
         got = ModulusTable(ser, k, p, h_samples).omega_upto(nu_max)
         with monkeypatch.context() as patch:
-            patch.setattr(function_model, "_secant_band", lambda hs, values, i, j, *args: (i, j))
+            patch.setattr(function_model, "_c2", lambda t, *args: np.full(t.size, np.nan))
             want = ModulusTable(ser, k, p, h_samples).omega_upto(nu_max)
         assert got.tolist() == want.tolist()
 
@@ -1314,7 +1315,7 @@ class TestSecantBand:
     @settings(max_examples=100, deadline=None)
     def test_c2_is_nan_exactly_where_the_stage_is_off(self, coeffs, m, k, t, p, ut):
         # off where C2 or u(t) is not a positive finite float or the h = t row is scaled;
-        # fewer than 2 shifts of S is _secant_band's own test
+        # fewer than 2 shifts of S is _grid_table's own test, where it places the top anchor
         freqs, amps = CosineSeries(coeffs).support()
         amps, ts, req = np.ldexp(amps, m), np.array([t]), ModulusRequest(k=k, t=t, p=p)
         got = function_model._c2(ts, np.array([ut]), freqs, amps, req)[0]
@@ -1339,15 +1340,16 @@ class TestSecantBand:
         assert got.tolist() == [oracles.modulus_grid_full_scan(ser.coeffs, 2, 1.0 / nu, 4.0, 33,
                                                                4096) for nu in nus]
 
-    @pytest.mark.parametrize("k, p, rows", [(1, 3.0, 530), (2, 4.0, 600), (3, 3.0, 1060)])
+    @pytest.mark.parametrize("k, p, rows", [(1, 3.0, 519), (2, 4.0, 566), (3, 3.0, 732),
+                                            (2, 1.5, 1249), (3, 1.5, 1244)])
     def test_power_law_tables_evaluate_few_rows(self, irfft_rows, k, p, rows):
-        # 523, 586 and 843 grid rows, the h = t rows included (1,291, 3,320 and 3,879
-        # without the stage), and one irfft for the slope bound
+        # 519, 566, 732, 1,250 and 1,245 grid rows, the h = t rows included, and at p > 2 one
+        # irfft for the slope bound
         ModulusTable(power_law_series(2.0, 256), k, p).omega_upto(256)
         assert sum(irfft_rows) <= rows + 1
 
     def test_rough_k1_table_evaluates_few_rows(self, irfft_rows):
-        # a rough series at k = 1, where C2 step^2 exceeds the values at small nu: 1,354 grid
+        # a rough series at k = 1, where C2 step^2 exceeds the values at small nu: 1,277 grid
         # rows and one irfft for the slope bound
         ModulusTable(power_law_series(1.5, 2048), 1, 3.0).omega_upto(64)
-        assert sum(irfft_rows) <= 1366
+        assert sum(irfft_rows) <= 1278
