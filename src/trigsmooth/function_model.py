@@ -450,9 +450,9 @@ def _bucket_ratios(k: int, h_samples: int) -> np.ndarray:
 
 
 def _scaled_roots(hs: np.ndarray, freqs: np.ndarray, amps: np.ndarray, k: int) -> np.ndarray:
-    """sqrt(pi g(h)) per shift h at any k: with x_nu = |a_nu|^(1/k) |2 sin(nu h / 2)| and
-    M its largest, g = M^(2k) sum (x_nu / M)^(2k).  The sum lies in [1, N], so only terms
-    below 2^-1022 of the largest underflow, and M^k overflows only where the value does."""
+    """sqrt(pi g(h)) per shift h, the p = 2 rows where _p2_scaled holds: with x_nu = |a_nu|^(1/k)
+    |2 sin(nu h / 2)| and M its largest, g = M^(2k) sum (x_nu / M)^(2k).  The sum is in [1, N], so
+    only terms below 2^-1022 of the largest underflow, and M^k only where the value overflows."""
     x = np.abs(np.sin(np.multiply.outer(hs, 0.5 * freqs))) * (2.0 * np.abs(amps) ** (1.0 / k))
     top = x.max(axis=1, initial=np.finfo(float).tiny)  # a zero row (h = 0) then gives 0
     return np.sqrt(math.pi * ((x / top[:, None]) ** (2 * k)).sum(axis=1)) * top ** k
@@ -466,51 +466,42 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
     Serves as the oracle for the grid modulus at p = 2.  k, t and h_samples are
     checked as a ModulusRequest; a bad one raises DomainError with its message.
 
-    From k = 512, where 4^k overflows, every row is scanned by _scaled_roots.  Below
-    it, when t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on [0, t],
-    so g peaks at h = t and that row alone is evaluated; otherwise supports of at most
-    _EXACT_BLOCK frequencies are scanned in full.  Wider supports are the one-t call of the
-    table kernel _p2_table: a moment row, or a sup certified by row bounds.  Below k = 512 the
-    amplitudes past 2^+-256 are scaled by a power of two (_amp_scale), exactly, and the value
-    back, so that a^2 stays in the float range.
+    When t max_freq <= pi, every factor sin^2(nu h / 2) is non-decreasing on [0, t], so g
+    peaks at h = t and that row alone is evaluated; otherwise every shift row is.  Where pi g
+    may leave the float range (_p2_scaled), the rows are _scaled_roots, in batches; else they
+    take the sine form on the squares of _p2_sums, up to _EXACT_BLOCK frequencies, and wider
+    supports are the one-t call of _p2_table: a moment row, or a certified sup.
     """
     try:
         ModulusRequest(k, t, 2.0, h_samples)
     except ConstraintViolation as exc:
         raise DomainError(str(exc)) from None
-    if t == 0.0:
-        return 0.0
     freqs, amps = series.support()
-    if freqs.size == 0:
+    if t == 0.0 or freqs.size == 0:
         return 0.0
-    if k >= 512:  # 4^k overflows
-        rows = max(1, _BATCH_SAMPLES // freqs.size)
-        return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k), rows,
-                                 shift_grid(t, h_samples)).max())
-    if freqs.size > _EXACT_BLOCK:
+    if not (scaled := _p2_scaled(series, k)) and freqs.size > _EXACT_BLOCK:
         return float(_p2_table(series, k, np.array([t]), h_samples)[0])
-    if scale := _amp_scale(series):  # a^2 would leave the float range
-        amps = np.ldexp(amps, scale)
-    if freqs[-1] * t <= math.pi:
-        # at small t or high k the terms would be subnormal and lose digits.  The float sine
-        # is the identity below 2^-26, so scaling the shift by 2^e, which takes nu_max t into
-        # [2^-28, 2^-27), scales every sine factor by exactly 2^e; the factors are then scaled
-        # after the sine by _tiny_scale, and the sup is scaled back by 2^(-k (e + s))
-        e = max(0, -27 - math.frexp(float(freqs[-1]) * t)[1])
-        s = _tiny_scale(math.ldexp(float(freqs[-1]) * t, e), k)
-        terms_t = _sin_form_terms(math.ldexp(t, e), freqs, k, s)
-        root, scale = math.sqrt(math.pi * float(terms_t @ (amps * amps))), scale + k * (e + s)
-    else:
-        root = math.sqrt(math.pi * float((_sin_form_terms(shift_grid(t, h_samples), freqs, k)
-                                          @ (amps * amps)).max()))
+    # a float h = t where t max_freq <= pi, so that its sum is a dot product of its own
+    hs = t if (x := float(freqs[-1]) * t) <= math.pi else shift_grid(t, h_samples)
+    if scaled:
+        return float(_in_batches(lambda h: _scaled_roots(h, freqs, amps, k),
+                                 max(1, _BATCH_SAMPLES // freqs.size), np.atleast_1d(hs)).max())
+    # at small t or high k the terms would be subnormal and lose digits.  The float sine is the
+    # identity below 2^-26, so scaling the shift by 2^e, which takes nu_max t into [2^-28, 2^-27),
+    # scales every sine factor by exactly 2^e; the factors are then scaled after the sine by
+    # _tiny_scale, and the sup is scaled back by 2^(-k (e + s)).  Both are 0 where x > pi
+    e = max(0, -27 - math.frexp(x)[1])
+    s = _tiny_scale(math.ldexp(x, e), k)
+    scale, _, w, *_ = _p2_sums(series, k)  # the squares of the amplitudes scaled by 2^scale
+    g = _sin_form_terms(math.ldexp(hs, e) if e else hs, freqs, k, s) @ w  # e > 0: a float hs
     try:
-        return math.ldexp(root, -scale)
+        return math.ldexp(math.sqrt(math.pi * float(g.max())), -scale - k * (e + s))
     except OverflowError:  # past the float range
         return math.inf
 
 
 def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> np.ndarray:
-    """modulus_p2_exact(series, k, t, h_samples) at each t of ts (k < 512; on a support of at most
+    """modulus_p2_exact(series, k, t, h_samples) at each t of ts (on a support of at most
     _MOMENT_TERMS frequencies, max_freq t >= 2^-28, so that no shift needs scaling).  Where
     t max_freq <= pi on a wider support, the moment rows (_moment_rows) are the value wherever
     certified, as they are wherever max_freq t < 2^-28.  The other t go in pruning blocks of
@@ -522,7 +513,8 @@ def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> n
     x cot x decreases on (0, pi), and with lambda), and above by _high_band, the row below t first
     (_last_row_clears); rows whose bound, times 1 + _BOUND_SLACK (which covers lambda = j /
     (h_samples - 1) too), reaches g(t) are candidates.  (3) _first_order_band.  (4) The rows left
-    take their sines.  The squares a^2 are of the amplitudes scaled by _amp_scale, scaled back."""
+    take their sines.  The squares a^2 are of the amplitudes scaled by _amp_scale, scaled back.
+    Called only where _p2_scaled does not hold."""
     if series.support()[0].size == 0:
         return np.zeros(ts.size)
     scale, f, w, high, s1, tail = _p2_sums(series, k)
@@ -613,6 +605,13 @@ def _p2_sums(series: CosineSeries, k: int):
     with np.errstate(over="ignore"):  # one that overflows gives an inf or NaN bound
         return (s, f, w, _high_band(f, w, 2 * k), np.cumsum(np.append(0.0, w * f)),
                 np.cumsum(np.append(w, 0.0)[::-1])[::-1])
+
+
+@lru_cache(maxsize=1)  # one entry, since every caller holds the series and k fixed over a table
+def _p2_scaled(series: CosineSeries, k: int) -> bool:
+    """Whether the p = 2 rows of a nonempty support take _scaled_roots: from k = 512, where 4^k
+    overflows, and where pi g <= pi 4^k sum w, w of _p2_sums, may pass 2^1023."""
+    return k >= 512 or 2 * k + math.log2(math.pi * _p2_sums(series, k)[2].sum()) >= 1023
 
 
 # one entry, since every caller holds the series fixed over a table

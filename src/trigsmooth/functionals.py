@@ -30,7 +30,7 @@ from .approximation import _head_sum, _tail_sum, best_approx, power_sum_tail
 from .core import DENSE_LIMIT, ClassParams, CosineSeries, FunctionalCurve, MajorantPhi, is_order
 from .errors import DomainError, TagError
 from .function_model import (_EXACT_BLOCK, DEFAULT_H_SAMPLES, ModulusRequest, _grid_table,
-                             _p2_table, auto_grid_size, modulus, modulus_p2_exact)
+                             _p2_scaled, _p2_table, auto_grid_size, modulus, modulus_p2_exact)
 
 #: smallest truncation range used by the omega-based forms
 MIN_NU_MAX = 1024
@@ -53,8 +53,8 @@ class ModulusTable:
 
     Uses the closed-form Parseval path at p = 2 and the quadrature grid path
     otherwise; ``path`` records which one, for reproducibility.  omega_upto fills its
-    missing nu in blocks through _grid_table, or at p = 2, k < 512 and a support wider
-    than _EXACT_BLOCK through _p2_table, each value bit for bit omega_at's.
+    missing nu in blocks through _grid_table, or at p = 2 on a support wider than _EXACT_BLOCK
+    where _p2_scaled does not hold through _p2_table, each value bit for bit omega_at's.
     """
 
     def __init__(self, series: CosineSeries, k: int, p: float,
@@ -67,7 +67,8 @@ class ModulusTable:
         self._request = ModulusRequest(self.k, 1.0, self.p, self.h_samples)  # checks k, p, shifts
         self._grid_n = auto_grid_size(series)
         self._omega = np.empty(0)
-        self._blocked = p != 2.0 or (self.k < 512 and series.support()[0].size > _EXACT_BLOCK)
+        self._blocked = p != 2.0 or (series.support()[0].size > _EXACT_BLOCK
+                                     and not _p2_scaled(series, self.k))
 
     def omega_at(self, nu: int) -> float:
         """w(1/nu) for a positive integer nu; DomainError for any other nu."""

@@ -20,6 +20,7 @@ from trigsmooth import (
     modulus,
     modulus_p2_exact,
     power_law_series,
+    random_bandlimited_series,
     synthesize,
 )
 from trigsmooth import function_model
@@ -410,6 +411,48 @@ class TestModulusP2Pruned:
             warnings.simplefilter("error")
             got = modulus_p2_exact(ser, k, t, 17)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("coeffs, t", [
+        (np.random.default_rng(0).random(400), 2.0),  # about 2.6e154
+        (np.random.default_rng(0).random(400), 1.0),
+        (np.ldexp(np.random.default_rng(11).random(100), -600), 2.0),  # about 4.0e-27
+        ([0.9, 0.0, 0.9], math.pi),  # 4^k sum a^2 < 2^1023 < pi 4^k sum a^2
+    ])
+    def test_order_511_where_pi_g_may_overflow_matches_mpmath(self, coeffs, t):
+        # pi 4^511 sum (2^s a)^2 passes 2^1023, so pi g of the scaled amplitudes overflowed to inf
+        ser = CosineSeries(np.asarray(coeffs, dtype=float))
+        freqs, amps = ser.support()
+        want = oracles.mp_modulus_p2(freqs, amps, 511, t, 17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = modulus_p2_exact(ser, 511, t, 17)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_order_511_table_matches_mpmath(self):
+        ser = random_bandlimited_series(np.random.default_rng(0), 64)
+        freqs, amps = ser.support()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ModulusTable(ser, 511, 2.0).omega_upto(4)
+        want = [oracles.mp_modulus_p2(freqs, amps, 511, 1.0 / nu, 257) for nu in range(1, 5)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_order_past_511_takes_one_row_where_t_max_freq_is_at_most_pi(self, monkeypatch):
+        rows, scan = [], function_model._scaled_roots
+
+        def counting(hs, *args):
+            rows.append(hs.size)
+            return scan(hs, *args)
+
+        monkeypatch.setattr(function_model, "_scaled_roots", counting)
+        ser = random_bandlimited_series(np.random.default_rng(0), 64)
+        got = ModulusTable(ser, 600, 2.0).omega_upto(64)
+        # 257 rows for nu <= 20, where t max_freq = 64 / nu > pi, and one for each other nu
+        assert sum(rows) == 20 * 257 + 44
+        freqs, amps = ser.support()
+        want = [scan(function_model.shift_grid(1.0 / nu, 257), freqs, amps, 600).max()
+                for nu in range(1, 65)]
+        np.testing.assert_array_equal(got, want)
 
     def test_power_law_evaluates_few_full_rows(self, sin_form_calls):
         ser = power_law_series(1.5, 2048)
@@ -829,8 +872,9 @@ class TestModulusPruned:
         assert sum(irfft_rows) == m + 1
 
     def test_power_law_at_p3_evaluates_few_rows(self, irfft_rows):
+        # two grid rows, the h = t row included, and one irfft row for the slope bound
         modulus(power_law_series(2.0, 256), ModulusRequest(k=1, t=1.0 / 16, p=3.0), 4096)
-        assert sum(irfft_rows) < 257 // 2
+        assert sum(irfft_rows) <= 3
 
     def test_spectrum_batch_memory_is_capped_at_large_grids(self, irfft_rows):
         # 64 harmonics of random sign spread up to 2**20: at p = 7 the sup-norm bound is
@@ -870,11 +914,12 @@ class TestModulusPruned:
                                     rel=1e-12, abs=0.0)
 
     def test_power_law_table_at_p3_evaluates_few_rows(self, irfft_rows):
-        # omega(1 / nu) for nu = 1..256: 13.02 grid rows per call, the h = t row included
+        # omega(1 / nu) for nu = 1..256: 519 grid rows, 2.03 per call, the h = t rows included,
+        # and one irfft row for the slope bound
         ser = power_law_series(2.0, 256)
         for nu in range(1, 257):
             modulus(ser, ModulusRequest(k=1, t=1.0 / nu, p=3.0), 4096)
-        assert sum(irfft_rows) / 256 <= 13.1
+        assert sum(irfft_rows) <= 520
 
     @given(coeffs=_signed_support(120, 400), k=st.sampled_from([1, 2, 3]),
            t=st.floats(0.0, math.pi, exclude_min=True), p=st.sampled_from([1.5, 3.0, 4.0]))
