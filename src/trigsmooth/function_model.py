@@ -501,20 +501,19 @@ def modulus_p2_exact(series: CosineSeries, k: int, t: float,
 
 
 def _p2_table(series: CosineSeries, k: int, ts: np.ndarray, h_samples: int) -> np.ndarray:
-    """modulus_p2_exact(series, k, t, h_samples) at each t of ts (on a support of at most
-    _MOMENT_TERMS frequencies, max_freq t >= 2^-28, so that no shift needs scaling).  Where
-    t max_freq <= pi on a wider support, the moment rows (_moment_rows) are the value wherever
-    certified, as they are wherever max_freq t < 2^-28.  The other t go in pruning blocks of
-    _PRUNE_ENTRIES // h_samples t's, F-wide work in chunks of _BLOCK_ENTRIES entries, by stages
-    that only prune rows.  (1) The h = t rows, each scaled by _tiny_scale and summed by its own dot
-    product (a matrix-vector product rounds by its other rows), are the value where t max_freq <=
-    pi.  (2) Other rows h = lambda t are bounded, for nu t <= pi by rho^(2k) times the h = t terms,
-    rho = sin(lambda y) / sin(y) at the top of nu's bucket in y = nu t / 2 (it grows with y, as
-    x cot x decreases on (0, pi), and with lambda), and above by _high_band, the row below t first
-    (_last_row_clears); rows whose bound, times 1 + _BOUND_SLACK (which covers lambda = j /
-    (h_samples - 1) too), reaches g(t) are candidates.  (3) _first_order_band.  (4) The rows left
-    take their sines.  The squares a^2 are of the amplitudes scaled by _amp_scale, scaled back.
-    Called only where _p2_scaled does not hold."""
+    """modulus_p2_exact(series, k, t, h_samples) at each t of ts, unless _p2_scaled holds (on a
+    support of at most _MOMENT_TERMS frequencies, max_freq t >= 2^-28, so that no shift needs
+    scaling).  Where t max_freq <= pi on a wider support, the moment rows (_moment_rows) are the
+    value wherever certified, as they are wherever max_freq t < 2^-28.  The other t go in pruning
+    blocks of _PRUNE_ENTRIES // h_samples t's, F-wide work in chunks of _BLOCK_ENTRIES entries, by
+    stages that only prune rows.  (1) The h = t rows, each scaled by _tiny_scale and summed by its
+    own dot product (a matrix-vector product rounds by its other rows), are the value where t
+    max_freq <= pi.  (2) Other rows h = lambda t are bounded, for nu t <= pi by rho^(2k) times the
+    terms of h = t, rho = sin(lambda y) / sin(y) at the top of nu's bucket in y = nu t / 2 (it grows
+    with y, as x cot x decreases on (0, pi), and with lambda), and above by _high_band, the row
+    below t first (_last_row_clears); rows whose bound, times 1 + _BOUND_SLACK (which covers lambda
+    = j / (h_samples - 1) too), reaches g(t) are candidates.  (3) _first_order_band.  (4) The rows
+    left take their sines.  The squares a^2 are of amplitudes scaled by _amp_scale, scaled back."""
     if series.support()[0].size == 0:
         return np.zeros(ts.size)
     scale, f, w, high, s1, tail = _p2_sums(series, k)
